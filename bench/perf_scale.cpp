@@ -15,8 +15,8 @@
 //   * every cell runs in its OWN SUBPROCESS (this binary re-executes
 //     itself with --cell): VmHWM is a per-process high-water mark, so a
 //     shared process would report max-over-all-cells for every cell;
-//   * within a cell, --repeat runs keep the fastest replay (best-of-N,
-//     as in perf_baseline) while peak RSS is read once at the end;
+//   * within a cell, --repeat runs keep the fastest replay (best-of-N)
+//     while peak RSS is read once at the end;
 //   * events_processed must be identical across repeats and modes -- a
 //     mismatch aborts the bench (behaviour changed, not speed).
 //
@@ -24,9 +24,9 @@
 //                            [--policy=hdf] [--repeat=2] [--quick]
 //                            [--out=BENCH_scale.json]
 //
-// The default sweep keeps a scale-0.5 pair so the materialized cell is
-// directly comparable against the committed BENCH_baseline.json grid
-// (same scale, same home02/EDM-HDF cell).
+// Replay cost at a fixed scale, with per-layer attribution, is the replay
+// benchmark's job (perfbench/README.md); this bench is the only one that
+// sweeps trace scale.
 //
 // --quick runs a single streaming cell at scale 2 with one repeat (the
 // tools/check.sh scale-smoke gate); its JSON is shape-compatible but not

@@ -139,30 +139,6 @@ class Ssd {
   void attach_telemetry(telemetry::Recorder* recorder,
                         std::uint32_t device_id);
 
-  /// One GC run's telemetry payload, captured so the emission (trace span
-  /// + counter bumps) can be decoupled from the GC itself.  Shard workers
-  /// buffer these per speculated I/O and the master replays them at
-  /// consume time, when the recorder's DES clock equals the time a serial
-  /// run would have emitted at (docs/internals/sim.md "Sharded replay").
-  struct GcTelemetryEvent {
-    SimDuration gc_us = 0;
-    std::uint64_t page_moves = 0;
-    std::uint64_t erases = 0;
-  };
-
-  /// Redirects GC telemetry into `sink` instead of the recorder (null
-  /// restores direct emission).  While a sink is set,
-  /// maybe_collect_for_write appends events instead of tracing; flash
-  /// state changes are unaffected.  Not owned; caller keeps it alive.
-  void set_deferred_gc_sink(std::vector<GcTelemetryEvent>* sink) {
-    gc_sink_ = sink;
-  }
-
-  /// Emits one buffered GC event exactly as maybe_collect_for_write would
-  /// have at the recorder's *current* DES time.  No-op when telemetry is
-  /// detached.
-  void emit_gc_event(const GcTelemetryEvent& ev);
-
  private:
   std::uint32_t block_of(Ppn ppn) const { return ppn / config_.pages_per_block; }
 
@@ -278,9 +254,6 @@ class Ssd {
   telemetry::Counter* tel_gc_runs_ = nullptr;
   telemetry::Counter* tel_gc_page_moves_ = nullptr;
   telemetry::Counter* tel_gc_stall_us_ = nullptr;
-  // Non-null while a shard worker is speculating this device: GC telemetry
-  // is buffered here instead of emitted (set_deferred_gc_sink).
-  std::vector<GcTelemetryEvent>* gc_sink_ = nullptr;
 };
 
 }  // namespace edm::flash

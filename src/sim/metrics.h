@@ -132,8 +132,8 @@ struct WorkloadMetrics {
   std::vector<TenantMetrics> tenants;
 };
 
-/// Event-loop and wall-clock measurements for the continuous-benchmark
-/// harness (bench/perf_baseline, docs/PERFORMANCE.md).  events_processed
+/// Event-loop and wall-clock measurements for the benchmarks (perfbench/,
+/// bench/perf_scale, docs/PERFORMANCE.md).  events_processed
 /// is deterministic (it counts DES events popped); the wall-clock fields
 /// are not, so none of this is ever serialised by write_json /
 /// write_sweep_json -- report bytes stay machine-independent.
@@ -141,25 +141,6 @@ struct PerfMetrics {
   std::uint64_t events_processed = 0;
   double setup_wall_s = 0.0;   // cluster build + populate + GC warm-up
   double replay_wall_s = 0.0;  // Simulator::run() wall time
-
-  // Sharded-replay accounting (SimConfig::shards > 1; all deterministic).
-  std::uint32_t shards = 1;          // shard count the run used
-  std::uint64_t spec_batches = 0;    // batches that ran shard workers
-  std::uint64_t speculated_ios = 0;  // device I/Os pre-executed on shards
-
-  // Per-batch forfeit-reason accounting: why batches declined to run shard
-  // workers (docs/internals/sim.md "Sharded replay", forfeit-reason
-  // table).  One batch can count against several reasons.
-  std::uint64_t spec_forfeit_geometry = 0;  // parallel flash geometry
-  std::uint64_t spec_forfeit_faults = 0;    // fail-slow injector attached
-  std::uint64_t spec_forfeit_failure = 0;   // a failed OSD in the cluster
-  std::uint64_t spec_forfeit_rebuild = 0;   // rebuild running or pending
-  std::uint64_t spec_forfeit_trigger = 0;   // scripted trigger still unfired
-  // Fine-grained (non-forfeiting) restrictions inside speculated batches.
-  std::uint64_t spec_excluded_osds = 0;    // OSD-batches skipped as mover
-                                           // endpoints
-  std::uint64_t spec_tainted_breaks = 0;   // chain walks cut at a tainted
-                                           // object
 };
 
 struct RunResult {

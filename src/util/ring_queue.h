@@ -36,10 +36,6 @@ class RingQueue {
   T& front() { return buf_[head_]; }
   const T& front() const { return buf_[head_]; }
 
-  /// i-th element in FIFO order (0 = front).  Pre: i < size().  Lets the
-  /// sharded replay walk an OSD's pending queue without popping it.
-  const T& at(std::size_t i) const { return buf_[(head_ + i) & mask_]; }
-
   void push_back(T value) {
     if (count_ == buf_.size()) grow();
     buf_[(head_ + count_) & mask_] = std::move(value);

@@ -5,9 +5,7 @@
 //    report bytes identical to the default config, at any osd_queue_depth
 //    (a flat OSD is definitionally serial, the depth knob is inert);
 //  * a multi-die geometry converts queue depth into throughput;
-//  * parallel-geometry OSDs forfeit the calm certificate: sharded replay
-//    must never speculate through a die-queue device, and the forfeit
-//    path stays byte-identical to the serial loop.
+//  * the die-queue path replays deterministically, migration included.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -75,54 +73,18 @@ TEST(ParallelSim, QueueDepthBuysThroughputOnParallelGeometry) {
       << "8 deep dispatch should overlap die work the serial replay cannot";
 }
 
-TEST(ParallelSim, ParallelGeometryForfeitsSpeculation) {
-  // fast_extent_io cannot predict dispatch through die queues, so any
-  // parallel-geometry OSD forfeits the calm certificate outright: sharded
-  // replay runs but never speculates (spec_batches == 0), and its report
-  // is byte-identical to the serial loop.
-  ExperimentConfig cfg = nvme_cell();
-  cfg.sim.trigger = MigrationTrigger::kNone;
-  cfg.sim.shards = 1;
-  const std::string expected = report_json(run_experiment(cfg));
-
-  cfg.sim.shards = 2;
-  const RunResult sharded = run_experiment(cfg);
-  EXPECT_EQ(sharded.perf.shards, 2u);
-  EXPECT_EQ(sharded.perf.spec_batches, 0u);
-  EXPECT_EQ(sharded.perf.speculated_ios, 0u);
-  EXPECT_EQ(expected, report_json(sharded));
-
-  // Same scenario on flat devices *does* speculate -- pinning that the
-  // forfeit really is the geometry, not the scenario.
-  ExperimentConfig flat = base_cell();
-  flat.sim.trigger = MigrationTrigger::kNone;
-  flat.sim.shards = 2;
-  EXPECT_GT(run_experiment(flat).perf.spec_batches, 0u);
-}
-
-TEST(ParallelSim, ShardedReplayIdenticalUnderMigrationPolicy) {
-  // The full stack -- HDF migration, trims, wear monitoring -- over
-  // parallel devices at shards {2, 4}: byte-identical to serial.
-  ExperimentConfig cfg = nvme_cell();
-  cfg.policy = core::PolicyKind::kHdf;
-  cfg.sim.shards = 1;
-  const std::string expected = report_json(run_experiment(cfg));
-  for (const std::uint32_t shards : {2u, 4u}) {
-    ExperimentConfig sharded = cfg;
-    sharded.sim.shards = shards;
-    ASSERT_EQ(expected, report_json(run_experiment(sharded)))
-        << "parallel-geometry replay diverged at --shards " << shards;
-  }
-}
-
 TEST(ParallelSim, DepthChangesReplayOnlyThroughDeviceTiming) {
-  // Determinism: the same config replays to the same bytes, and depth is
-  // a real model knob -- two depths give *different* (but individually
-  // stable) reports on parallel devices.
+  // Determinism: the same config replays to the same bytes -- also with
+  // HDF migration (trims, blocking, wear monitoring) on the die-queue
+  // path -- and depth is a real model knob -- two depths give *different*
+  // (but individually stable) reports on parallel devices.
   ExperimentConfig cfg = nvme_cell();
   cfg.sim.osd_queue_depth = 4;
   const std::string first = report_json(run_experiment(cfg));
   EXPECT_EQ(first, report_json(run_experiment(cfg)));
+  ExperimentConfig hdf = cfg;
+  hdf.policy = core::PolicyKind::kHdf;
+  EXPECT_EQ(report_json(run_experiment(hdf)), report_json(run_experiment(hdf)));
   cfg.sim.osd_queue_depth = 1;
   EXPECT_NE(first, report_json(run_experiment(cfg)));
 }

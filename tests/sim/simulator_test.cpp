@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 #include "cluster/cluster.h"
 #include "core/hdf_policy.h"
 #include "trace/generator.h"
@@ -166,14 +170,28 @@ TEST(Simulator, BuildViewMatchesClusterState) {
 
 TEST(Simulator, RejectsBadConfig) {
   Harness h;
-  SimConfig cfg = h.sim_config();
-  cfg.num_clients = 0;
-  EXPECT_THROW(Simulator(cfg, *h.cluster, h.trace, nullptr),
-               std::invalid_argument);
-  cfg = h.sim_config();
-  cfg.mover_concurrency = 0;
-  EXPECT_THROW(Simulator(cfg, *h.cluster, h.trace, nullptr),
-               std::invalid_argument);
+  // Each bad knob is rejected with a message naming it.  Zero queue
+  // depth, epoch or response window would otherwise hang the replay; a
+  // negative mover rate would be cast to an unsigned duration.
+  const std::pair<void (*)(SimConfig&), const char*> cases[] = {
+      {[](SimConfig& c) { c.num_clients = 0; }, "num_clients"},
+      {[](SimConfig& c) { c.mover_concurrency = 0; }, "mover parameters"},
+      {[](SimConfig& c) { c.client_queue_depth = 0; }, "client_queue_depth"},
+      {[](SimConfig& c) { c.epoch_length_us = 0; }, "epoch_length_us"},
+      {[](SimConfig& c) { c.response_window_us = 0; }, "response_window_us"},
+      {[](SimConfig& c) { c.mover_lane_mbps = -1.0; }, "mover_lane_mbps"},
+  };
+  for (const auto& [mutate, field] : cases) {
+    SimConfig cfg = h.sim_config();
+    mutate(cfg);
+    try {
+      Simulator(cfg, *h.cluster, h.trace, nullptr);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Simulator, DeeperClientQueueRaisesThroughput) {

@@ -36,23 +36,48 @@ TEST(TelemetrySim, DisabledRunCarriesNoRecorder) {
 }
 
 TEST(TelemetrySim, IdenticalRunsProduceBitIdenticalStreams) {
-  auto cfg = small_cell(core::PolicyKind::kHdf);
-  cfg.telemetry = full_telemetry();
-  const RunResult a = run_experiment(cfg);
-  const RunResult b = run_experiment(cfg);
-  ASSERT_NE(a.telemetry, nullptr);
-  ASSERT_NE(b.telemetry, nullptr);
+  // Three inputs: closed-loop HDF; the endurance-aware hot path (CDF on
+  // the wear monitor with adaptive sigma and the health monitor with
+  // mitigation, which must migrate); and two open-loop tenants.
+  ExperimentConfig monitor = small_cell(core::PolicyKind::kCdf);
+  monitor.trace_name = "lair62";
+  monitor.policy_config.lambda = 0.01;
+  monitor.sim.trigger = MigrationTrigger::kMonitor;
+  monitor.sim.monitor_cooldown_epochs = 1;
+  monitor.sim.epoch_length_us = 500'000;
+  monitor.sim.adaptive_sigma = true;
+  monitor.sim.health.enabled = true;
+  monitor.sim.health.mitigate = true;
+  ExperimentConfig open_loop = small_cell(core::PolicyKind::kHdf);
+  workload::TenantSpec home;
+  home.profile = "home02";
+  home.rate_ops_per_sec = 3000.0;
+  workload::TenantSpec lair;
+  lair.profile = "lair62";
+  lair.rate_ops_per_sec = 1500.0;
+  open_loop.open_loop.tenants = {home, lair};
+  for (ExperimentConfig cfg :
+       {small_cell(core::PolicyKind::kHdf), monitor, open_loop}) {
+    cfg.telemetry = full_telemetry();
+    const RunResult a = run_experiment(cfg);
+    const RunResult b = run_experiment(cfg);
+    ASSERT_NE(a.telemetry, nullptr);
+    ASSERT_NE(b.telemetry, nullptr);
+    if (cfg.sim.trigger == MigrationTrigger::kMonitor) {
+      EXPECT_GT(a.migration.moved_objects, 0u) << "monitor input never moved";
+    }
 
-  std::ostringstream trace_a, trace_b;
-  a.telemetry->tracer()->write_chrome_json(trace_a);
-  b.telemetry->tracer()->write_chrome_json(trace_b);
-  EXPECT_GT(trace_a.str().size(), 2u);
-  EXPECT_EQ(trace_a.str(), trace_b.str());
+    std::ostringstream trace_a, trace_b;
+    a.telemetry->tracer()->write_chrome_json(trace_a);
+    b.telemetry->tracer()->write_chrome_json(trace_b);
+    EXPECT_GT(trace_a.str().size(), 2u);
+    EXPECT_EQ(trace_a.str(), trace_b.str());
 
-  std::ostringstream csv_a, csv_b;
-  a.telemetry->sampler()->write_csv(csv_a);
-  b.telemetry->sampler()->write_csv(csv_b);
-  EXPECT_EQ(csv_a.str(), csv_b.str());
+    std::ostringstream csv_a, csv_b;
+    a.telemetry->sampler()->write_csv(csv_a);
+    b.telemetry->sampler()->write_csv(csv_b);
+    EXPECT_EQ(csv_a.str(), csv_b.str());
+  }
 }
 
 TEST(TelemetrySim, SampleRowCountMatchesMakespan) {

@@ -1,18 +1,18 @@
 #!/usr/bin/env bash
 # Full pre-merge check: documentation consistency (tools/check_docs.sh),
-# then build + test the normal config (plus perf_baseline and perf_scale
-# smoke runs that validate the edm-bench-result/1 JSON shape and the
-# streaming-replay RSS ceiling, plus an open-loop smoke asserting
-# per-tenant p99 separation under overload and the workload JSON shape),
-# then the asan-ubsan config plus fault, open-loop, and shards smokes
-# (ext_failslow/ext_openloop --quick under the sanitizers, asserting
-# detector quality and the edm-run-result/4 health JSON shape, plus a
-# --shards 4 vs --shards 1 byte-identity check, a perf_shards --quick
-# JSON-shape run, and a parallelism smoke: --flash-geometry=flat
-# byte-identity plus ext_parallelism --quick queue-depth scaling), then
-# the concurrency-sensitive tests (telemetry,
-# thread pool, sweep runner, logging, sharded replay) under
-# ThreadSanitizer (CMakePresets.json).  Any failure aborts.
+# then build + test the normal config (plus a build and test run of the
+# replay benchmark in perfbench/, a perf_scale smoke that validates the
+# edm-bench-result/1 JSON shape and the streaming-replay RSS ceiling, and
+# an open-loop smoke asserting per-tenant p99 separation under overload
+# and the workload JSON shape), then the asan-ubsan config plus fault,
+# open-loop, determinism and parallelism smokes (ext_failslow/
+# ext_openloop --quick under the sanitizers, asserting detector quality
+# and the edm-run-result/4 health JSON shape; a monitor-mode run twice
+# with report, trace and time-series compared byte for byte; and
+# --flash-geometry=flat byte-identity plus ext_parallelism --quick
+# queue-depth scaling), then the concurrency-sensitive tests (telemetry,
+# thread pool, sweep runner, logging) under ThreadSanitizer
+# (CMakePresets.json).  Any failure aborts.
 #
 #   tools/check.sh [--fast]   # --fast skips the sanitizer configs
 set -euo pipefail
@@ -20,33 +20,15 @@ cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 2)
 
-# Smoke the throughput baseline: a --quick run must succeed and emit
-# schema-valid JSON (docs/PERFORMANCE.md).  Catches bit-rot in the bench
-# binary and its output contract without paying for a full grid.
-bench_smoke() {
-  echo "== bench smoke (perf_baseline --quick) =="
-  local out
-  out=$(mktemp)
-  ./build/bench/perf_baseline --quick --out="$out" >/dev/null
-  python3 - "$out" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    d = json.load(f)
-assert d.get("schema") == "edm-bench-result/1", d.get("schema")
-assert d["cells"], "no cells"
-cell_keys = {"trace", "policy", "num_osds", "events_processed",
-             "completed_ops", "replay_wall_s", "setup_wall_s",
-             "events_per_sec", "sim_ops_per_sec"}
-for c in d["cells"]:
-    missing = cell_keys - c.keys()
-    assert not missing, f"cell missing {missing}"
-    assert c["events_processed"] > 0, "empty replay"
-s = d["summary"]
-assert s["total_events"] == sum(c["events_processed"] for c in d["cells"])
-print(f"bench smoke: {len(d['cells'])} cells, "
-      f"{s['total_events']} events, JSON shape ok")
-EOF
-  rm -f "$out"
+# The replay benchmark (perfbench/, BENCHMARK.json) is a CMake project of
+# its own that compiles ../src, so a src/ change can break it while the
+# root build stays green.  Build it and run its tests, which include the
+# check that a benchmark cell replays exactly like sim::run_experiment.
+perfbench_smoke() {
+  echo "== perfbench build + test =="
+  cmake -S perfbench -B .bench_build >/dev/null
+  cmake --build .bench_build -j "$jobs" >/dev/null
+  ctest --test-dir .bench_build --output-on-failure
 }
 
 # Smoke the memory-scaling bench: a --quick run (one streaming cell at
@@ -212,94 +194,34 @@ EOF
   rm -f "$out"
 }
 
-# Shards smoke: the sharded-replay determinism contract, end to end
-# through the CLI, under whichever build "$1" points at.  A --shards 4
-# replay must emit byte-identical JSON to --shards 1 both on a calm
-# replay and on a full monitor-mode run with tracing and time-series on
-# (report, Chrome trace, and CSV bytes all compared —
-# docs/internals/sim.md), and perf_shards --quick must emit schema-valid
-# JSON with the two-grid cell fields, with monitor cells actually
-# speculating (docs/PERFORMANCE.md "Parallel replay").
-shards_smoke() {
+# Determinism smoke: the heaviest configuration -- CDF on the wear
+# monitor with adaptive sigma (two migrations), the health monitor with
+# mitigation on, tracing and time-series on -- run twice through the CLI
+# under whichever build "$1" points at.  Report, Chrome trace and
+# time-series CSV must be byte-identical (docs/internals/sim.md).
+determinism_smoke() {
   local build_dir="$1"
-  echo "== shards smoke (--shards 4 identity + perf_shards --quick, $build_dir) =="
-  local serial sharded
-  serial=$(mktemp)
-  sharded=$(mktemp)
-  "$build_dir/tools/edm_run" --trace=home02 --scale=0.01 --json --quiet \
-      >"$serial"
-  "$build_dir/tools/edm_run" --trace=home02 --scale=0.01 --shards=4 \
-      --json --quiet >"$sharded"
-  if ! cmp -s "$serial" "$sharded"; then
-    echo "shards smoke: --shards 4 JSON differs from --shards 1" >&2
-    diff "$serial" "$sharded" >&2 || true
-    rm -f "$serial" "$sharded"
-    return 1
-  fi
-  echo "shards smoke: calm --shards 4 byte-identical to --shards 1"
-  # Monitor mode used to forfeit speculation wholesale; now it is the
-  # fine-grained calm certificate's proving ground.  Compare all three
-  # output streams byte for byte.
+  echo "== determinism smoke (monitor-mode run twice, $build_dir) =="
   local tmpdir
   tmpdir=$(mktemp -d)
-  local monitor_flags=(--trace=home02 --scale=0.02 --policy=cdf
-                       --trigger=monitor --lambda=0.01 --adaptive
-                       --health --mitigate --json --quiet)
-  "$build_dir/tools/edm_run" "${monitor_flags[@]}" \
-      --trace-out="$tmpdir/t1.json" --timeseries-out="$tmpdir/s1.csv" \
-      >"$tmpdir/r1.json"
-  "$build_dir/tools/edm_run" "${monitor_flags[@]}" --shards=4 \
-      --trace-out="$tmpdir/t4.json" --timeseries-out="$tmpdir/s4.csv" \
-      >"$tmpdir/r4.json"
+  local flags=(--trace=home02 --scale=0.02 --policy=cdf --trigger=monitor
+               --lambda=0.01 --adaptive --health --mitigate --json --quiet)
+  local run
+  for run in 1 2; do
+    "$build_dir/tools/edm_run" "${flags[@]}" \
+        --trace-out="$tmpdir/$run-trace.json" \
+        --timeseries-out="$tmpdir/$run-series.csv" >"$tmpdir/$run-report.json"
+  done
   local stream
-  for stream in r t s; do
-    if ! cmp -s "$tmpdir/${stream}1"* "$tmpdir/${stream}4"*; then
-      echo "shards smoke: monitor-mode --shards 4 stream '$stream'" \
-           "differs from --shards 1" >&2
-      diff "$tmpdir/${stream}1"* "$tmpdir/${stream}4"* >&2 || true
-      rm -rf "$tmpdir" "$serial" "$sharded"
+  for stream in report.json trace.json series.csv; do
+    if ! cmp -s "$tmpdir/1-$stream" "$tmpdir/2-$stream"; then
+      echo "determinism smoke: $stream differs between identical runs" >&2
+      rm -rf "$tmpdir"
       return 1
     fi
   done
   rm -rf "$tmpdir"
-  echo "shards smoke: monitor --shards 4 report/trace/time-series byte-identical"
-  local out
-  out=$(mktemp)
-  "$build_dir/bench/perf_shards" --quick --out="$out" >/dev/null
-  python3 - "$out" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    d = json.load(f)
-assert d.get("schema") == "edm-bench-result/1", d.get("schema")
-assert d.get("bench") == "perf_shards", d.get("bench")
-assert "provenance" in d, "missing provenance"
-assert "hardware_threads" in d, "missing hardware_threads"
-assert d["cells"], "no cells"
-cell_keys = {"mode", "shards", "events_processed", "completed_ops",
-             "spec_batches", "speculated_ios",
-             "spec_forfeit_geometry", "spec_forfeit_faults",
-             "spec_forfeit_failure", "spec_forfeit_rebuild",
-             "spec_forfeit_trigger", "spec_excluded_osds",
-             "spec_tainted_breaks", "replay_wall_s",
-             "setup_wall_s", "events_per_sec", "speedup_vs_serial"}
-counts = {}
-for c in d["cells"]:
-    missing = cell_keys - c.keys()
-    assert not missing, f"cell missing {missing}"
-    assert c["events_processed"] > 0, "empty replay"
-    counts.setdefault(c["mode"], set()).add(
-        (c["events_processed"], c["completed_ops"]))
-assert set(counts) == {"calm", "monitor"}, f"modes: {set(counts)}"
-for mode, seen in counts.items():
-    assert len(seen) == 1, f"{mode}: shard counts disagree: {seen}"
-sharded = [c for c in d["cells"] if c["shards"] > 1]
-assert sharded and all(c["speculated_ios"] > 0 for c in sharded), (
-    "sharded cells speculated nothing -- the shard workers are dead weight")
-print(f"shards smoke: {len(d['cells'])} cells across "
-      f"{len(counts)} modes, deterministic per mode, "
-      "monitor cells speculate, JSON shape ok")
-EOF
-  rm -f "$serial" "$sharded" "$out"
+  echo "determinism smoke: report/trace/time-series byte-identical"
 }
 
 # Parallelism smoke: the flash internal-parallelism model, end to end
@@ -372,19 +294,19 @@ echo "== docs =="
 tools/check_docs.sh
 
 run_preset default
-bench_smoke
+perfbench_smoke
 scale_smoke
 openloop_smoke build
 if [[ "${1:-}" != "--fast" ]]; then
   run_preset asan-ubsan
   fault_smoke build-asan
   openloop_smoke build-asan
-  shards_smoke build-asan
+  determinism_smoke build-asan
   parallelism_smoke build-asan
   run_preset tsan
 else
   fault_smoke build
-  shards_smoke build
+  determinism_smoke build
   parallelism_smoke build
 fi
 echo "== all checks passed =="

@@ -60,8 +60,6 @@
 //     --seeds=<n>           run n seed-derived replicas as one sweep
 //     --base-seed=<s>       base seed for the per-replica derivation
 //     --jobs=<n>            sweep workers (0 = hardware threads, 1 = serial)
-//     --shards=<n>          replay shard workers per run (1 = serial event
-//                           loop; output is byte-identical at any value)
 //     --json                JSON output (schema edm-run-result/4 with a
 //                           build-provenance stamp; with --seeds>1,
 //                           edm-sweep-result/1)
@@ -128,7 +126,6 @@ struct Options {
   std::uint32_t seeds = 1;
   std::uint32_t base_seed = 0;
   std::uint32_t jobs = 0;
-  std::uint32_t shards = 1;
   bool json = false;
   bool quiet = false;
 };
@@ -210,8 +207,6 @@ edm::util::FlagParser make_parser(Options& opt) {
                     "base seed for the per-replica derivation");
   parser.add_uint32("--jobs", &opt.jobs,
                     "sweep workers (0 = hardware threads, 1 = serial)");
-  parser.add_uint32("--shards", &opt.shards,
-                    "replay shard workers per run (1 = serial event loop)");
   parser.add_bool("--json", &opt.json, "JSON output (schema edm-run-result/4)");
   parser.add_bool("--quiet", &opt.quiet,
                   "summary only (no per-OSD table / timeline)");
@@ -466,7 +461,6 @@ int main(int argc, char** argv) {
     apply_flash_geometry(cfg, opt);
     cfg.flash.separate_gc_stream = opt.separate_gc;
     cfg.sim.adaptive_sigma = opt.adaptive;
-    cfg.sim.shards = opt.shards;
     cfg.sim.fail_osd = opt.fail_osd;
     cfg.sim.fail_at_fraction = opt.fail_at_fraction;
     cfg.sim.faults = fault_plan_from(opt);
@@ -507,7 +501,6 @@ int main(int argc, char** argv) {
       }
       edm::runner::SweepOptions sweep;
       sweep.jobs = opt.jobs;
-      sweep.shards_per_run = opt.shards;
       sweep.derive_seeds = true;
       sweep.base_seed = opt.base_seed;
       sweep.label = "edm_run";
