@@ -130,6 +130,13 @@ struct SweepParam {
   PolicyKind policy;
 };
 
+// gtest_discover_tests keeps the "# GetParam() = ..." text in the ctest name
+// of a custom-named case; without this the default byte dump prints the
+// `trace` pointer, so the name changed with every build's load address.
+void PrintTo(const SweepParam& param, std::ostream* os) {
+  *os << param.trace << '/' << core::to_string(param.policy);
+}
+
 class FullMatrixSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(FullMatrixSweep, RunsClean) {
