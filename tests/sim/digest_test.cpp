@@ -116,6 +116,55 @@ TEST(Digest, CdfLair62MonitorAdaptive) {
   check_digest("lair62_cdf_monitor.json", report_json(run_experiment(cfg)));
 }
 
+// Monitor trigger + adaptive sigma at an epoch short enough that the
+// monitor plans repeatedly: pins the sigma fit -> Algorithm 1 -> move path
+// end to end, which the 60 s-epoch cell above never reaches (it records
+// zero triggers).  home02 at this scale is one where adaptive sigma changes
+// the bytes; lair62 is not.
+ExperimentConfig adaptive_planning_cell(core::PolicyKind policy,
+                                        SimDuration epoch_us) {
+  ExperimentConfig cfg = base_cell("home02", policy);
+  cfg.sim.trigger = MigrationTrigger::kMonitor;
+  cfg.sim.adaptive_sigma = true;
+  cfg.sim.epoch_length_us = epoch_us;
+  cfg.sim.monitor_cooldown_epochs = 2;
+  return cfg;
+}
+
+ExperimentConfig cdf_adaptive_planning_cell() {
+  return adaptive_planning_cell(core::PolicyKind::kCdf, 500'000);
+}
+
+ExperimentConfig hdf_adaptive_planning_cell() {
+  return adaptive_planning_cell(core::PolicyKind::kHdf, 250'000);
+}
+
+/// The cell must plan at least twice, and turning adaptive sigma off must
+/// change its report -- otherwise the fixture would pin a run that never
+/// exercises the fit.
+void expect_plans_under_adaptive_sigma(const ExperimentConfig& cfg,
+                                       const RunResult& result) {
+  EXPECT_GE(result.migration.triggers, 2u);
+  ExperimentConfig fixed = cfg;
+  fixed.sim.adaptive_sigma = false;
+  EXPECT_NE(report_json(run_experiment(fixed)), report_json(result))
+      << "adaptive sigma no longer changes this cell's report";
+}
+
+TEST(Digest, CdfHome02MonitorAdaptivePlans) {
+  const ExperimentConfig cfg = cdf_adaptive_planning_cell();
+  const RunResult result = run_experiment(cfg);
+  check_digest("home02_cdf_monitor_adaptive.json", report_json(result));
+  expect_plans_under_adaptive_sigma(cfg, result);
+}
+
+TEST(Digest, HdfHome02MonitorAdaptivePlans) {
+  const ExperimentConfig cfg = hdf_adaptive_planning_cell();
+  const RunResult result = run_experiment(cfg);
+  check_digest("home02_hdf_monitor_adaptive.json", report_json(result));
+  expect_plans_under_adaptive_sigma(cfg, result);
+}
+
 // --- Streaming-path digests -----------------------------------------
 //
 // The same cells replayed through run_experiment_streaming (TraceCursor
@@ -146,6 +195,20 @@ TEST(Digest, StreamingCdfLair62MonitorAdaptive) {
   cfg.sim.adaptive_sigma = true;
   check_digest("lair62_cdf_monitor.json",
                report_json(run_experiment_streaming(cfg)));
+}
+
+TEST(Digest, StreamingCdfHome02MonitorAdaptivePlans) {
+  if (regen()) GTEST_SKIP() << "fixtures regenerate via the materialised path";
+  check_digest("home02_cdf_monitor_adaptive.json",
+               report_json(run_experiment_streaming(
+                   cdf_adaptive_planning_cell())));
+}
+
+TEST(Digest, StreamingHdfHome02MonitorAdaptivePlans) {
+  if (regen()) GTEST_SKIP() << "fixtures regenerate via the materialised path";
+  check_digest("home02_hdf_monitor_adaptive.json",
+               report_json(run_experiment_streaming(
+                   hdf_adaptive_planning_cell())));
 }
 
 TEST(Digest, StreamingHdfDeasnaFaultsAndTelemetry) {
