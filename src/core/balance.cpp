@@ -6,6 +6,31 @@
 
 namespace edm::core {
 
+namespace {
+
+/// The paper's epsilon grid, accumulated exactly as a
+/// `for (eps = 0.001; eps < 1.0; eps += 0.001)` scan visits it, so its
+/// length and every value match that loop bit for bit.
+const std::vector<double>& epsilon_table() {
+  static const std::vector<double> table = [] {
+    constexpr double kStep = 0.001;
+    std::vector<double> eps;
+    for (double e = kStep; e < 1.0; e += kStep) eps.push_back(e);
+    return eps;
+  }();
+  return table;
+}
+
+/// One point of the epsilon scan: the shift it books and whether it ends
+/// the scan (the shift hit its cap, or the pair's erase gap closed).
+struct Probe {
+  double shift = 0.0;
+  bool capped = false;
+  bool stops = false;
+};
+
+}  // namespace
+
 std::vector<double> calculate_data_movement(const WearModel& model,
                                             std::span<const double> write_pages,
                                             std::span<const double> utilization,
@@ -15,6 +40,12 @@ std::vector<double> calculate_data_movement(const WearModel& model,
     throw std::invalid_argument(
         "calculate_data_movement: array size mismatch");
   }
+  for (const double w : write_pages) {
+    if (!(w >= 0.0)) {
+      throw std::invalid_argument(
+          "calculate_data_movement: write pages must be non-negative");
+    }
+  }
   const std::size_t n = write_pages.size();
   std::vector<double> delta(n, 0.0);
   if (n < 2) return delta;
@@ -23,20 +54,21 @@ std::vector<double> calculate_data_movement(const WearModel& model,
   std::vector<double> wc(write_pages.begin(), write_pages.end());
   std::vector<double> u(utilization.begin(), utilization.end());
 
+  // F(u) and the Eq. 4 estimate per device.
+  std::vector<double> ur(n);
   std::vector<double> ec(n);
-  auto recompute = [&] {
-    for (std::size_t i = 0; i < n; ++i) {
-      ec[i] = model.erase_count(wc[i], u[i]);
-    }
-  };
+  for (std::size_t i = 0; i < n; ++i) {
+    ur[i] = model.ur_of_utilization(u[i]);
+    ec[i] = model.erase_count_from_ur(wc[i], ur[i]);
+  }
 
   // Devices that hit a utilization bound stop participating as source
   // (frozen_src) or destination (frozen_dst).
   std::vector<char> frozen_src(n, 0);
   std::vector<char> frozen_dst(n, 0);
 
+  const std::vector<double>& eps = epsilon_table();
   for (int step = 0; step < params.iterations; ++step) {
-    recompute();
     std::size_t x = n;
     std::size_t y = n;
     for (std::size_t i = 0; i < n; ++i) {
@@ -71,25 +103,50 @@ std::vector<double> calculate_data_movement(const WearModel& model,
     }
 
     // Paper's inner loop: smallest epsilon whose shift closes the gap.
-    double shift = 0.0;
-    bool capped = false;
-    for (double eps = params.epsilon_step; eps < 1.0;
-         eps += params.epsilon_step) {
-      shift = movable * eps;
-      if (shift >= max_shift) {
-        shift = max_shift;
-        capped = true;
+    auto probe = [&](std::size_t k) {
+      Probe p;
+      p.shift = movable * eps[k];
+      if (p.shift >= max_shift) {
+        p.shift = max_shift;
+        p.capped = true;
       }
       double ec_x, ec_y;
       if (mode == BalanceMode::kWritePages) {
-        ec_x = model.erase_count(wc[x] - shift, u[x]);
-        ec_y = model.erase_count(wc[y] + shift, u[y]);
+        ec_x = model.erase_count_from_ur(wc[x] - p.shift, ur[x]);
+        ec_y = model.erase_count_from_ur(wc[y] + p.shift, ur[y]);
       } else {
-        ec_x = model.erase_count(wc[x], u[x] - shift);
-        ec_y = model.erase_count(wc[y], u[y] + shift);
+        ec_x = model.erase_count(wc[x], u[x] - p.shift);
+        ec_y = model.erase_count(wc[y], u[y] + p.shift);
       }
-      if (capped || ec_x - ec_y <= 0.0) break;
+      p.stops = p.capped || ec_x - ec_y <= 0.0;
+      return p;
+    };
+    // `stops` is false below some index and true from it on, so gallop
+    // from the front (0, 1, 3, 7, ...; most scans stop at the first
+    // epsilon) and bisect the bracket.  No stopping index leaves the last
+    // epsilon's shift, where the linear scan ran off the end.
+    std::size_t below = 0;  // every index < below does not stop
+    std::size_t k = 0;
+    Probe found = probe(0);
+    while (!found.stops && k + 1 < eps.size()) {
+      below = k + 1;
+      k = std::min(2 * k + 1, eps.size() - 1);
+      found = probe(k);
     }
+    if (found.stops) {
+      while (below < k) {
+        const std::size_t mid = below + (k - below) / 2;
+        const Probe p = probe(mid);
+        if (p.stops) {
+          k = mid;
+          found = p;
+        } else {
+          below = mid + 1;
+        }
+      }
+    }
+    const double shift = found.shift;
+    const bool capped = found.capped;
 
     if (mode == BalanceMode::kWritePages) {
       delta[x] -= shift;
@@ -111,6 +168,13 @@ std::vector<double> calculate_data_movement(const WearModel& model,
         if (params.utilization_ceiling - u[y] <= 1e-12) frozen_dst[y] = 1;
         if (!frozen_src[x] && !frozen_dst[y]) frozen_src[x] = 1;
       }
+    }
+    // A shift changes only x and y; HDF holds u, hence F(u), fixed.
+    for (const std::size_t i : {x, y}) {
+      if (mode == BalanceMode::kUtilization) {
+        ur[i] = model.ur_of_utilization(u[i]);
+      }
+      ec[i] = model.erase_count_from_ur(wc[i], ur[i]);
     }
   }
   return delta;

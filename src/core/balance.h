@@ -13,6 +13,11 @@
 //  * kUtilization (CDF): shifts u between devices; write pages are held
 //    fixed ("array Wc is considered to be kept unchanged for CDF").
 //    Returns Delta-u as utilization fractions.
+//
+// The scan's stop test is monotone in epsilon (F(u) is monotone bit for
+// bit, Eq. 4 is monotone in Wc and F, and the shift only grows), so the
+// smallest stopping epsilon is found by galloping search over the same
+// epsilon values the linear scan visits; the result is identical.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +32,6 @@ enum class BalanceMode { kWritePages, kUtilization };
 
 struct BalanceParams {
   int iterations = 500;      // paper: "total iteration step is set to 500"
-  double epsilon_step = 0.001;
 
   /// Bounds for kUtilization mode.  Utilization has a *floor* of influence
   /// on wear (below the Eq. 3 knee GC is already free -- the reason CDF
@@ -53,6 +57,8 @@ struct BalanceParams {
 ///
 /// `write_pages` and `utilization` are parallel arrays (one entry per
 /// participating device, e.g. the source+destination set of one SSD group).
+/// Write pages must be non-negative: the epsilon search relies on Eq. 4
+/// falling as F(u) falls, which holds only for Wc >= 0.
 /// Returns the per-device delta in the mode's unit; entries sum to ~0.
 std::vector<double> calculate_data_movement(const WearModel& model,
                                             std::span<const double> write_pages,

@@ -1,5 +1,7 @@
 #include "core/sigma_estimator.h"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "core/wear_model.h"
@@ -18,6 +20,10 @@ SigmaEstimator::SigmaEstimator(std::uint32_t pages_per_block, double initial,
 
 void SigmaEstimator::observe(double write_pages, double utilization,
                              double erases) {
+  if (!std::isfinite(write_pages) || !std::isfinite(utilization) ||
+      !std::isfinite(erases)) {
+    return;  // no signal (and a NaN would poison the fit)
+  }
   if (write_pages <= 0.0 || erases <= 0.0) return;  // no signal
   if (utilization <= 0.0 || utilization > 1.0) return;
   const Observation obs{write_pages, utilization, erases};
@@ -30,20 +36,43 @@ void SigmaEstimator::observe(double write_pages, double utilization,
   next_ = (next_ + 1) % capacity_;
 }
 
-double SigmaEstimator::error(double sigma) const {
-  const WearModel model(np_, sigma);
-  double total = 0.0;
-  for (const auto& o : obs_) {
-    const double predicted = model.erase_count(o.wc, o.u);
-    const double rel = (predicted - o.ec) / o.ec;
-    total += rel * rel;
-  }
-  return total;
-}
-
 double SigmaEstimator::estimate() const {
   if (obs_.size() < min_observations_) return initial_;
-  // Coarse grid over the plausible range, then one refinement pass.
+
+  // F(u) depends on u alone and the window repeats utilizations, so each
+  // candidate solves it once per distinct u: `us` holds the distinct
+  // values, `slot[i]` observation i's index into them.
+  std::vector<double> us;
+  us.reserve(obs_.size());
+  for (const auto& o : obs_) us.push_back(o.u);
+  std::sort(us.begin(), us.end());
+  us.erase(std::unique(us.begin(), us.end()), us.end());
+  std::vector<std::size_t> slot;
+  slot.reserve(obs_.size());
+  for (const auto& o : obs_) {
+    slot.push_back(static_cast<std::size_t>(
+        std::lower_bound(us.begin(), us.end(), o.u) - us.begin()));
+  }
+  std::vector<double> ur(us.size());
+
+  // Sum of squared relative prediction errors for a candidate sigma, in
+  // observation order (erase_count(w, u) is erase_count_from_ur(w, F(u))).
+  auto error = [&](double sigma) {
+    const WearModel model(np_, sigma);
+    for (std::size_t k = 0; k < us.size(); ++k) {
+      ur[k] = model.ur_of_utilization(us[k]);
+    }
+    double total = 0.0;
+    for (std::size_t i = 0; i < obs_.size(); ++i) {
+      const Observation& o = obs_[i];
+      const double predicted = model.erase_count_from_ur(o.wc, ur[slot[i]]);
+      const double rel = (predicted - o.ec) / o.ec;
+      total += rel * rel;
+    }
+    return total;
+  };
+
+  // Coarse grid over the plausible range, then a hill-climb around its best.
   double best_sigma = 0.0;
   double best_err = error(0.0);
   for (double sigma = 0.02; sigma <= 0.60; sigma += 0.02) {
@@ -53,6 +82,8 @@ double SigmaEstimator::estimate() const {
       best_sigma = sigma;
     }
   }
+  // The bound reads the running best, so the walk goes on while it
+  // improves and can end above 0.6.
   for (double sigma = best_sigma - 0.019; sigma <= best_sigma + 0.019;
        sigma += 0.002) {
     if (sigma < 0.0) continue;

@@ -25,12 +25,16 @@ class SigmaEstimator {
 
   /// One device-window observation: host page writes, disk utilization and
   /// the erases the device actually performed in the window.  Observations
-  /// with no writes or no erases carry no signal and are ignored.
+  /// with no writes or no erases, a utilization outside (0, 1], or any
+  /// non-finite value carry no signal and are ignored.
   void observe(double write_pages, double utilization, double erases);
 
-  /// Least-squares sigma over the current observation window (grid search
-  /// with refinement; sigma in [0, 0.6]).  Falls back to the initial value
-  /// with fewer than `min_observations` samples.
+  /// Least-squares sigma over the current observation window: a 0.02 grid
+  /// over [0, 0.6], then a 0.002-step hill-climb from the grid's best that
+  /// keeps going while it improves, so the result can exceed 0.6.  Each
+  /// candidate solves F(u) once per distinct utilization in the window.
+  /// Falls back to the initial value with fewer than `min_observations`
+  /// samples.
   double estimate() const;
 
   std::size_t observations() const { return obs_.size(); }
@@ -42,9 +46,6 @@ class SigmaEstimator {
     double u;
     double ec;
   };
-
-  /// Sum of squared relative prediction errors for a candidate sigma.
-  double error(double sigma) const;
 
   std::uint32_t np_;
   double initial_;

@@ -220,7 +220,6 @@ void Simulator::setup_telemetry() {
 }
 
 double Simulator::current_sigma() const {
-  if (sigma_estimator_) return sigma_estimator_->estimate();
   return policy_ ? policy_->config().model.sigma() : 0.28;
 }
 

@@ -198,8 +198,8 @@ class Simulator {
 
   const core::AccessTracker& access_tracker() const { return tracker_; }
 
-  /// Last sigma handed to the policy (adaptive mode), else the configured
-  /// value.
+  /// Sigma of the policy's wear model: the last fit installed before a
+  /// plan (adaptive mode), else the configured value.  No fresh fit.
   double current_sigma() const;
 
  private:

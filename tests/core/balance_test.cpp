@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -20,6 +21,22 @@ TEST(Balance, SizeMismatchThrows) {
   EXPECT_THROW(
       calculate_data_movement(kModel, wc, u, BalanceMode::kWritePages),
       std::invalid_argument);
+}
+
+TEST(Balance, NegativeWritePagesThrow) {
+  // Eq. 4 falls with F(u) only for Wc >= 0, which the epsilon search needs.
+  const std::vector<double> u = {0.6, 0.6};
+  for (const double bad :
+       {-1.0, -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    const std::vector<double> wc = {1000.0, bad};
+    for (const BalanceMode mode :
+         {BalanceMode::kWritePages, BalanceMode::kUtilization}) {
+      EXPECT_THROW(calculate_data_movement(kModel, wc, u, mode),
+                   std::invalid_argument)
+          << bad;
+    }
+  }
 }
 
 TEST(Balance, DegenerateInputs) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/wear_model.h"
 #include "util/rng.h"
 
@@ -19,11 +21,38 @@ TEST(SigmaEstimator, ReturnsInitialWithoutData) {
 }
 
 TEST(SigmaEstimator, IgnoresSignalFreeObservations) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   SigmaEstimator est(32);
   est.observe(0.0, 0.6, 100.0);    // no writes
   est.observe(1000.0, 0.6, 0.0);   // no erases
   est.observe(1000.0, 1.5, 50.0);  // nonsense utilization
+  // Non-finite values pass every ordered comparison guard (NaN <= 0 and
+  // NaN > 1 are both false), so they need their own.
+  est.observe(nan, 0.6, 50.0);
+  est.observe(inf, 0.6, 50.0);
+  est.observe(1000.0, nan, 50.0);
+  est.observe(1000.0, inf, 50.0);
+  est.observe(1000.0, 0.6, nan);
+  est.observe(1000.0, 0.6, inf);
   EXPECT_EQ(est.observations(), 0u);
+
+  // One such observation used to turn a clean fit into 0.0.
+  const WearModel model(32, 0.28);
+  util::Xoshiro256 rng(5);
+  for (int i = 0; i < 20; ++i) {
+    const double wc = 5000.0 + static_cast<double>(rng.next_below(50000));
+    const double u = 0.5 + rng.next_double() * 0.4;
+    est.observe(wc, u, model.erase_count(wc, u));
+  }
+  const double clean = est.estimate();
+  EXPECT_NEAR(clean, 0.28, 0.01);
+  est.observe(nan, 0.7, 100.0);
+  est.observe(inf, 0.7, 100.0);
+  est.observe(1000.0, 0.7, nan);
+  est.observe(1000.0, nan, 100.0);
+  EXPECT_EQ(est.observations(), 20u);
+  EXPECT_EQ(est.estimate(), clean);
 }
 
 TEST(SigmaEstimator, RecoversKnownSigmaFromCleanData) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace edm::core {
@@ -62,6 +63,38 @@ TEST(WearModel, InversionClampsBelowKnee) {
   EXPECT_EQ(m.ur_of_utilization(0.0), 0.0);
   EXPECT_EQ(m.ur_of_utilization(0.28), 0.0);
   EXPECT_EQ(m.ur_of_utilization(0.2), 0.0);
+}
+
+TEST(WearModel, InversionIsNonDecreasingBitForBit) {
+  // Algorithm 1's galloping epsilon search is exact only because F(u)
+  // never decreases as u grows -- not even by one ulp.  The bisection
+  // follows a fixed path on a predicate monotone in u, so it holds on a
+  // dense grid, between ulp neighbours, and across both clamp knees.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double sigma : {0.0, 0.28, 0.6}) {
+    const WearModel m(32, sigma);
+    double prev = m.ur_of_utilization(0.0);
+    for (int i = 1; i <= 17000; ++i) {
+      const double u = static_cast<double>(i) * 1e-4;
+      const double ur = m.ur_of_utilization(u);
+      ASSERT_GE(ur, prev) << "sigma " << sigma << " u " << u;
+      ASSERT_LE(m.ur_of_utilization(std::nextafter(u, -inf)), ur)
+          << "sigma " << sigma << " u " << u;
+      prev = ur;
+    }
+    for (const double knee :
+         {m.utilization_of_ur(1e-12), m.utilization_of_ur(WearModel::kMaxUr)}) {
+      double u = knee;
+      for (int i = 0; i < 64; ++i) u = std::nextafter(u, -inf);
+      prev = m.ur_of_utilization(u);
+      for (int i = 0; i < 128; ++i) {
+        u = std::nextafter(u, inf);
+        const double ur = m.ur_of_utilization(u);
+        ASSERT_GE(ur, prev) << "sigma " << sigma << " knee " << knee;
+        prev = ur;
+      }
+    }
+  }
 }
 
 TEST(WearModel, InversionClampsNearFull) {

@@ -228,6 +228,9 @@ TEST(Simulator, AdaptiveSigmaLearnsFromObservations) {
   EXPECT_GE(sigma, 0.0);
   EXPECT_LE(sigma, 0.6);
   EXPECT_NE(policy.config().model.sigma(), 0.28);  // refit happened
+  // current_sigma() reports the installed model, not a fresh fit over the
+  // epochs observed since the last plan.
+  EXPECT_EQ(sigma, policy.config().model.sigma());
 }
 
 TEST(Simulator, AdaptiveSigmaOffLeavesModelUntouched) {

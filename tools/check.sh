@@ -198,7 +198,9 @@ EOF
 # monitor with adaptive sigma (two migrations), the health monitor with
 # mitigation on, tracing and time-series on -- run twice through the CLI
 # under whichever build "$1" points at.  Report, Chrome trace and
-# time-series CSV must be byte-identical (docs/internals/sim.md).
+# time-series CSV must be byte-identical (docs/internals/sim.md), and the
+# run must have planned, so the sigma fit and Algorithm 1 run under the
+# sanitizers.
 determinism_smoke() {
   local build_dir="$1"
   echo "== determinism smoke (monitor-mode run twice, $build_dir) =="
@@ -220,8 +222,18 @@ determinism_smoke() {
       return 1
     fi
   done
+  if ! python3 - "$tmpdir/1-report.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    triggers = json.load(f)["migration"]["triggers"]
+assert triggers >= 1, f"determinism smoke: monitor never planned ({triggers})"
+EOF
+  then
+    rm -rf "$tmpdir"
+    return 1
+  fi
   rm -rf "$tmpdir"
-  echo "determinism smoke: report/trace/time-series byte-identical"
+  echo "determinism smoke: report/trace/time-series byte-identical, planned"
 }
 
 # Parallelism smoke: the flash internal-parallelism model, end to end
