@@ -27,6 +27,17 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double s) : n_(n), s_(s) {
   scale_ = 2.0 - h_integral_inverse(h_integral(2.5) - h(2.0));
 }
 
+ZipfSampler ZipfSampler::with_population(std::uint64_t n) const {
+  assert(n >= 1);
+  ZipfSampler out = *this;
+  out.n_ = n;
+  // operator() never reads the bound at n == 1.
+  if (n > 1) {
+    out.h_integral_num_elements_ = h_integral(static_cast<double>(n) + 0.5);
+  }
+  return out;
+}
+
 double ZipfSampler::h(double x) const { return std::exp(-s_ * std::log(x)); }
 
 double ZipfSampler::h_integral(double x) const {

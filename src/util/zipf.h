@@ -22,6 +22,12 @@ class ZipfSampler {
 
   std::uint64_t operator()(Xoshiro256& rng) const;
 
+  /// The sampler for population `n` under the same exponent: draw for draw
+  /// (and RNG state for RNG state) identical to ZipfSampler(n, exponent()).
+  /// The exponent's constants are copied, so only the population bound is
+  /// recomputed -- one h_integral(), none at all for n == 1.
+  ZipfSampler with_population(std::uint64_t n) const;
+
   std::uint64_t population() const { return n_; }
   double exponent() const { return s_; }
 
