@@ -99,6 +99,14 @@ Simulator::Simulator(SimConfig config, cluster::Cluster& cluster,
       policy_(policy),
       tracker_(config.temperature_cache_entries) {
   cfg_.validate(cluster_.num_osds());
+  // Lane c replays cursor lane c: fewer cursor lanes would be read out of
+  // range, more would leave records buffered for lanes no client drains.
+  if (cursor_ != nullptr && cursor_->lanes() != cfg_.num_clients) {
+    throw std::invalid_argument(
+        "Simulator: TraceCursor has " + std::to_string(cursor_->lanes()) +
+        " lanes but SimConfig::num_clients is " +
+        std::to_string(cfg_.num_clients));
+  }
   // Object ids are dense; pre-size the temperature table so the replay
   // loop never grows it.
   tracker_.reserve_dense(cluster_.object_count());

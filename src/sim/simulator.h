@@ -176,7 +176,9 @@ class Simulator {
   /// instead of materialised per-client vectors, so trace memory stays
   /// O(clients x lookahead) (see trace/cursor.h).  Replays the identical
   /// event sequence as the materialised constructor given the same profile
-  /// and client count.  Cluster and cursor must outlive run().
+  /// and client count.  The cursor needs one lane per client
+  /// (lanes() == num_clients, else std::invalid_argument).  Cluster and
+  /// cursor must outlive run().
   Simulator(SimConfig config, cluster::Cluster& cluster,
             trace::TraceCursor& cursor, core::MigrationPolicy* policy);
 

@@ -8,6 +8,7 @@
 
 #include "cluster/cluster.h"
 #include "core/hdf_policy.h"
+#include "trace/cursor.h"
 #include "trace/generator.h"
 #include "trace/profile.h"
 
@@ -190,6 +191,25 @@ TEST(Simulator, RejectsBadConfig) {
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
           << e.what();
+    }
+  }
+}
+
+TEST(Simulator, RejectsCursorWithOtherLaneCount) {
+  // Fewer cursor lanes than clients would read past the lane buffers; more
+  // would strand the extra lanes' records and end the replay early.
+  Harness h;
+  const SimConfig cfg = h.sim_config();  // 4 clients
+  for (const std::uint16_t lanes : {2, 8}) {
+    trace::TraceCursor cursor(h.profile, lanes);
+    try {
+      Simulator(cfg, *h.cluster, cursor, nullptr);
+      ADD_FAILURE() << lanes << "-lane cursor was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::to_string(lanes) + " lanes"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("num_clients is 4"), std::string::npos) << what;
     }
   }
 }
