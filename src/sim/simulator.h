@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -168,15 +169,17 @@ struct SimConfig {
 
 class Simulator {
  public:
-  /// `policy` may be null (baseline).  Cluster and trace must outlive run().
+  /// `policy` may be null (baseline).  Replays `trace` in place through an
+  /// owned TraceCursor over it (one lane per client; no record is copied).
+  /// Cluster and trace must outlive run().
   Simulator(SimConfig config, cluster::Cluster& cluster,
             const trace::Trace& trace, core::MigrationPolicy* policy);
 
-  /// Streaming variant: replay lanes pull records lazily from the cursor
-  /// instead of materialised per-client vectors, so trace memory stays
-  /// O(clients x lookahead) (see trace/cursor.h).  Replays the identical
-  /// event sequence as the materialised constructor given the same profile
-  /// and client count.  The cursor needs one lane per client
+  /// Replays the cursor's lanes: the closed-loop input every trace replay
+  /// goes through.  A streaming cursor keeps trace memory at
+  /// O(clients x lookahead) (see trace/cursor.h) and replays the identical
+  /// event sequence as the materialised trace of the same profile and
+  /// client count.  The cursor needs one lane per client
   /// (lanes() == num_clients, else std::invalid_argument).  Cluster and
   /// cursor must outlive run().
   Simulator(SimConfig config, cluster::Cluster& cluster,
@@ -190,6 +193,8 @@ class Simulator {
   /// in RunResult::workload.  Cluster and source must outlive run().
   Simulator(SimConfig config, cluster::Cluster& cluster,
             workload::OpenLoopSource& arrivals, core::MigrationPolicy* policy);
+
+  ~Simulator();
 
   /// Runs the replay to completion and returns the collected metrics.
   /// Must be called at most once per Simulator instance.
@@ -265,16 +270,15 @@ class Simulator {
   };
 
   struct Client {
-    // This lane's records, copied contiguously at construction: the replay
-    // loop walks them sequentially, and chasing indices back into the
-    // client-interleaved global trace array would cost a cache miss per
-    // record (Record is 24 bytes; the interleave stride is ~num_clients
-    // lines apart).  Unused (empty) in streaming mode, where the lane
-    // pulls from the TraceCursor instead.
-    std::vector<trace::Record> records;
-    std::size_t cursor = 0;
+    // The lane's current run: a span into the materialised trace, or the
+    // streaming cursor's one-record span.  fill_client_window walks it
+    // sequentially and asks the cursor for the next run only when it is
+    // used up; the cursor prefetches that run, so a lane that trails the
+    // others by a few hundred KiB of trace does not miss on it.
+    std::span<const trace::Record> run;
+    std::size_t next = 0;  // index of the next record of `run` to issue
     std::uint32_t in_flight = 0;  // ops currently outstanding
-    bool exhausted = false;  // streaming mode: cursor lane ran dry
+    bool exhausted = false;  // the cursor lane ran dry
     bool done = false;
   };
 
@@ -429,8 +433,8 @@ class Simulator {
 
   SimConfig cfg_;
   cluster::Cluster& cluster_;
-  const trace::Trace* trace_;        // materialised mode (else null)
-  trace::TraceCursor* cursor_;       // streaming mode (else null)
+  std::unique_ptr<trace::TraceCursor> owned_cursor_;  // over a Trace
+  trace::TraceCursor* cursor_;       // closed-loop replay (else null)
   workload::OpenLoopSource* arrivals_;  // open-loop mode (else null)
   std::uint64_t total_records_ = 0;  // for midpoint / fail-fraction hooks
   core::MigrationPolicy* policy_;

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace edm::trace {
 
@@ -12,6 +16,11 @@ namespace {
 constexpr std::uint64_t kMinFileBytes = 8 * 1024;   // at least two pages
 constexpr std::uint64_t kMaxFileBytes = 256ULL << 20;  // clamp the tail
 constexpr std::uint32_t kMinRequestBytes = 512;
+
+// TraceCursor::next_run prefetches the first kPrefetchBytes of a lane's
+// next run, a line at a time.
+constexpr std::uintptr_t kCacheLine = 64;
+constexpr std::uintptr_t kPrefetchBytes = 8 * kCacheLine;
 
 /// Lognormal sample around `median` with shape `sigma`, clamped.
 std::uint64_t sample_file_size(util::Xoshiro256& rng, std::uint64_t median,
@@ -206,11 +215,83 @@ bool RecordStream::next(Record& out) {
 // ----------------------------------------------------------- TraceCursor
 
 TraceCursor::TraceCursor(const WorkloadProfile& profile, std::uint16_t clients)
-    : stream_(profile, clients), buffers_(stream_.clients()) {}
+    : stream_(std::in_place, profile, clients), lanes_(stream_->clients()) {}
+
+TraceCursor::TraceCursor(const Trace& trace, std::uint16_t lanes)
+    : trace_(&trace), lanes_(lanes ? lanes : 1) {
+  const std::vector<Record>& records = trace.records;
+  if (records.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("TraceCursor: a trace of " +
+                            std::to_string(records.size()) +
+                            " records does not fit 32-bit run bounds");
+  }
+  const std::size_t n = lanes_.size();
+  std::uint32_t begin = 0;
+  std::size_t run_lane = 0;
+  for (std::uint32_t i = 0; i < records.size(); ++i) {
+    const std::size_t lane = records[i].client % n;
+    if (i > 0 && lane != run_lane) {
+      lanes_[run_lane].runs.push_back({begin, i});
+      begin = i;
+    }
+    run_lane = lane;
+  }
+  if (!records.empty()) {
+    lanes_[run_lane].runs.push_back(
+        {begin, static_cast<std::uint32_t>(records.size())});
+  }
+}
+
+const std::string& TraceCursor::name() const {
+  return trace_ != nullptr ? trace_->name : stream_->profile().name;
+}
+
+const std::vector<FileSpec>& TraceCursor::files() const {
+  return trace_ != nullptr ? trace_->files : stream_->files();
+}
 
 bool TraceCursor::next(std::uint16_t lane, Record& out) {
   assert(lane < lanes());
-  auto& buf = buffers_[lane];
+  if (trace_ == nullptr) return pull(lane, out);
+  Lane& l = lanes_[lane];
+  if (l.rest.empty()) l.rest = next_run(lane);
+  if (l.rest.empty()) return false;
+  out = l.rest.front();
+  l.rest = l.rest.subspan(1);
+  return true;
+}
+
+std::span<const Record> TraceCursor::next_run(std::uint16_t lane) {
+  assert(lane < lanes());
+  Lane& l = lanes_[lane];
+  if (trace_ == nullptr) {
+    if (!pull(lane, l.slot)) return {};
+    return {&l.slot, 1};
+  }
+  if (!l.rest.empty()) return std::exchange(l.rest, {});
+  if (l.run_index == l.runs.size()) return {};
+  const Record* records = trace_->records.data();
+  const Run run = l.runs[l.run_index++];
+  if (l.run_index < l.runs.size()) {
+    // Lanes trail each other by hundreds of KiB of trace, so this lane's
+    // next run has usually left L1 and L2 by the time it is wanted.  A run
+    // averages about four cache lines; prefetch up to kPrefetchBytes.
+    const Run ahead = l.runs[l.run_index];
+    const auto first =
+        reinterpret_cast<std::uintptr_t>(records + ahead.begin);
+    const auto last = std::min(
+        reinterpret_cast<std::uintptr_t>(records + ahead.end),
+        first + kPrefetchBytes);
+    for (std::uintptr_t line = first & ~std::uintptr_t{kCacheLine - 1};
+         line < last; line += kCacheLine) {
+      __builtin_prefetch(reinterpret_cast<const void*>(line));
+    }
+  }
+  return {records + run.begin, records + run.end};
+}
+
+bool TraceCursor::pull(std::uint16_t lane, Record& out) {
+  auto& buf = lanes_[lane].buffer;
   if (!buf.empty()) {
     out = buf.front();
     buf.pop_front();
@@ -219,7 +300,7 @@ bool TraceCursor::next(std::uint16_t lane, Record& out) {
   }
   Record rec;
   while (!exhausted_) {
-    if (!stream_.next(rec)) {
+    if (!stream_->next(rec)) {
       exhausted_ = true;
       break;
     }
@@ -228,7 +309,7 @@ bool TraceCursor::next(std::uint16_t lane, Record& out) {
       out = rec;
       return true;
     }
-    buffers_[dest].push_back(rec);
+    lanes_[dest].buffer.push_back(rec);
     ++buffered_;
     max_lookahead_ = std::max(max_lookahead_, buffered_);
   }
@@ -236,10 +317,11 @@ bool TraceCursor::next(std::uint16_t lane, Record& out) {
 }
 
 std::uint64_t TraceCursor::total_records() {
+  if (trace_ != nullptr) return trace_->records.size();
   if (!total_records_) {
     // Counting pre-pass: an independent stream from the same profile emits
     // the same number of records.  O(file_count) memory, no materialisation.
-    RecordStream counter(stream_.profile(), stream_.clients());
+    RecordStream counter(stream_->profile(), stream_->clients());
     std::uint64_t n = 0;
     Record rec;
     while (counter.next(rec)) ++n;

@@ -1,11 +1,13 @@
 // Differential tests: the streaming pipeline (RecordStream / TraceCursor)
 // must emit the byte-identical record sequence TraceGenerator::generate()
-// materialises -- over every Table I profile, record for record.
+// materialises -- over every Table I profile, record for record -- and a
+// cursor over a materialised trace must give the same lanes in place.
 #include "trace/cursor.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "trace/generator.h"
@@ -169,6 +171,198 @@ TEST(TraceCursor, BalancedConsumptionHasSmallLookahead) {
   // arrive per-lane in session-sized runs, so each lane queues a few
   // sessions' worth) -- a few percent of the trace, not O(total).
   EXPECT_LE(cursor.max_lookahead(), total / 10);
+}
+
+// ------------------------------------------------------- in-place lanes
+
+/// The lanes by definition: record r goes to lane r.client % lanes, in
+/// trace order.
+std::vector<std::vector<Record>> brute_force_lanes(const Trace& trace,
+                                                   std::uint16_t lanes) {
+  std::vector<std::vector<Record>> out(lanes);
+  for (const Record& r : trace.records) out[r.client % lanes].push_back(r);
+  return out;
+}
+
+/// Drains every lane of an in-place cursor through next_run(), checking
+/// that each span points into the trace and is a maximal run (the records
+/// on either side of it belong to other lanes), and returns the
+/// concatenated lanes.
+std::vector<std::vector<Record>> drain_runs(const Trace& trace,
+                                            TraceCursor& cursor) {
+  std::vector<std::vector<Record>> out(cursor.lanes());
+  const Record* first = trace.records.data();
+  const Record* last = first + trace.records.size();
+  for (std::uint16_t lane = 0; lane < cursor.lanes(); ++lane) {
+    for (std::span<const Record> run = cursor.next_run(lane); !run.empty();
+         run = cursor.next_run(lane)) {
+      EXPECT_GE(run.data(), first) << "lane " << lane;
+      EXPECT_LE(run.data() + run.size(), last) << "lane " << lane;
+      if (run.data() > first) {
+        EXPECT_NE(run.data()[-1].client % cursor.lanes(), lane)
+            << "run is not maximal at its start, lane " << lane;
+      }
+      if (run.data() + run.size() < last) {
+        EXPECT_NE(run.data()[run.size()].client % cursor.lanes(), lane)
+            << "run is not maximal at its end, lane " << lane;
+      }
+      out[lane].insert(out[lane].end(), run.begin(), run.end());
+    }
+    // An exhausted lane stays exhausted.
+    EXPECT_TRUE(cursor.next_run(lane).empty()) << "lane " << lane;
+  }
+  return out;
+}
+
+void expect_same_lanes(const std::vector<std::vector<Record>>& got,
+                       const std::vector<std::vector<Record>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t lane = 0; lane < want.size(); ++lane) {
+    ASSERT_EQ(got[lane].size(), want[lane].size()) << "lane " << lane;
+    for (std::size_t i = 0; i < want[lane].size(); ++i) {
+      ASSERT_TRUE(same_record(got[lane][i], want[lane][i]))
+          << "lane " << lane << " record " << i;
+    }
+  }
+}
+
+Record tagged(std::uint16_t client, std::uint64_t offset) {
+  return {0, offset, 512, OpType::kRead, client};
+}
+
+/// A one-file trace whose records carry the given client tags in order
+/// (offsets number the records so every record is distinct).
+Trace hand_built(const std::vector<std::uint16_t>& clients) {
+  Trace trace;
+  trace.name = "hand";
+  trace.files = {{0, 1 << 20}};
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    trace.records.push_back(tagged(clients[i], i * 512));
+  }
+  return trace;
+}
+
+TEST(TraceCursor, InPlaceLanesMatchBruteForceOnGeneratedTrace) {
+  const WorkloadProfile profile = table1_profiles()[0].scaled(0.02);
+  const Trace trace = TraceGenerator(profile, 8).generate();
+  // 8 lanes is the replay's shape; 3 folds tags 3..7 onto lower lanes.
+  for (const std::uint16_t lanes : {8, 3}) {
+    TraceCursor cursor(trace, lanes);
+    EXPECT_EQ(cursor.lanes(), lanes);
+    expect_same_lanes(drain_runs(trace, cursor),
+                      brute_force_lanes(trace, lanes));
+  }
+}
+
+TEST(TraceCursor, InPlaceLanesMatchBruteForceOnHandBuiltTraces) {
+  struct Case {
+    const char* what;
+    std::vector<std::uint16_t> clients;
+    std::uint16_t lanes;
+  };
+  const Case cases[] = {
+      {"tags at or above lanes", {0, 4, 4, 9, 1, 5, 2, 6, 6, 3, 7, 300}, 4},
+      {"runs of length one", {0, 1, 0, 1, 2, 0, 2, 1, 0}, 3},
+      {"interleaving that is not session-shaped",
+       {2, 2, 0, 1, 1, 1, 2, 0, 0, 2, 1, 0, 0, 0, 2},
+       3},
+      {"a lane with no records", {0, 2, 2, 0, 0, 2, 0}, 3},
+      {"one lane", {0, 5, 3, 3, 1, 0, 7}, 1},
+      {"one record", {6}, 4},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const Trace trace = hand_built(c.clients);
+    TraceCursor cursor(trace, c.lanes);
+    expect_same_lanes(drain_runs(trace, cursor),
+                      brute_force_lanes(trace, c.lanes));
+  }
+}
+
+TEST(TraceCursor, InPlaceOneLaneIsOneRun) {
+  const Trace trace = hand_built({0, 5, 3, 3, 1, 0, 7});
+  TraceCursor cursor(trace, 1);
+  const std::span<const Record> run = cursor.next_run(0);
+  EXPECT_EQ(run.data(), trace.records.data());
+  EXPECT_EQ(run.size(), trace.records.size());
+  EXPECT_TRUE(cursor.next_run(0).empty());
+}
+
+TEST(TraceCursor, InPlaceEmptyTrace) {
+  Trace trace;
+  trace.name = "empty";
+  TraceCursor cursor(trace, 4);
+  EXPECT_EQ(cursor.lanes(), 4);
+  EXPECT_EQ(cursor.total_records(), 0u);
+  Record rec;
+  for (std::uint16_t lane = 0; lane < 4; ++lane) {
+    EXPECT_TRUE(cursor.next_run(lane).empty());
+    EXPECT_FALSE(cursor.next(lane, rec));
+  }
+}
+
+TEST(TraceCursor, InPlaceReportsTraceMetadata) {
+  const WorkloadProfile profile = table1_profiles()[1].scaled(0.01);
+  const Trace trace = TraceGenerator(profile, 8).generate();
+  TraceCursor cursor(trace, 8);
+  EXPECT_EQ(cursor.name(), trace.name);
+  EXPECT_EQ(&cursor.files(), &trace.files);  // the trace's own table
+  EXPECT_EQ(cursor.total_records(), trace.records.size());
+  EXPECT_EQ(cursor.max_lookahead(), 0u);
+  // Zero lanes is taken as one, as RecordStream takes zero clients.
+  EXPECT_EQ(TraceCursor(trace, 0).lanes(), 1);
+}
+
+// next() walks the same lanes one record at a time, and next_run() after a
+// partly consumed run returns the rest of that run before the next one.
+TEST(TraceCursor, InPlaceNextAndNextRunInterleave) {
+  const WorkloadProfile profile = table1_profiles()[2].scaled(0.01);
+  const Trace trace = TraceGenerator(profile, 4).generate();
+  const auto expected = brute_force_lanes(trace, 4);
+  TraceCursor cursor(trace, 4);
+  for (std::uint16_t lane = 0; lane < 4; ++lane) {
+    std::vector<Record> got;
+    Record rec;
+    bool by_record = true;
+    for (;;) {
+      if (by_record) {
+        if (!cursor.next(lane, rec)) break;
+        got.push_back(rec);
+      } else {
+        const std::span<const Record> run = cursor.next_run(lane);
+        if (run.empty()) break;
+        got.insert(got.end(), run.begin(), run.end());
+      }
+      by_record = !by_record;
+    }
+    expect_same_lanes({got}, {expected[lane]});
+  }
+}
+
+// A streaming next_run() hands out one record in a per-lane slot: the span
+// survives other lanes' pulls (which buffer past it) and changes only at
+// this lane's next call.
+TEST(TraceCursor, StreamingRunIsOneRecordValidUntilItsLaneAdvances) {
+  const WorkloadProfile profile = table1_profiles()[0].scaled(0.02);
+  const Trace trace = TraceGenerator(profile, 4).generate();
+  const auto expected = brute_force_lanes(trace, 4);
+  TraceCursor cursor(profile, 4);
+  std::vector<std::size_t> pos(4, 0);
+  for (int round = 0; round < 200; ++round) {
+    const std::span<const Record> held = cursor.next_run(0);
+    ASSERT_EQ(held.size(), 1u);
+    const Record copy = held.front();
+    ASSERT_TRUE(same_record(copy, expected[0][pos[0]++]));
+    // Other lanes pull several records each while lane 0's span is held.
+    for (std::uint16_t lane = 1; lane < 4; ++lane) {
+      for (int k = 0; k < 5; ++k) {
+        const std::span<const Record> run = cursor.next_run(lane);
+        ASSERT_EQ(run.size(), 1u);
+        ASSERT_TRUE(same_record(run.front(), expected[lane][pos[lane]++]));
+      }
+    }
+    ASSERT_TRUE(same_record(held.front(), copy)) << "round " << round;
+  }
 }
 
 TEST(TraceCursor, FilesAvailableBeforeAnyRecordIsPulled) {
