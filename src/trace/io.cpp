@@ -1,10 +1,13 @@
 #include "trace/io.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+
+#include "trace/text_io.h"
 
 namespace edm::trace {
 
@@ -13,6 +16,10 @@ namespace {
 constexpr char kMagic[8] = {'E', 'D', 'M', 'T', 'R', 'A', 'C', 'E'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kRecordWireBytes = 24;  // 8+8+4+1+2+1 (pad)
+// load_trace reserves the header's record count only up to this many
+// records (24 MiB); a larger trace grows its vector as records arrive, so a
+// corrupt count fails as truncation, not as one huge allocation.
+constexpr std::uint64_t kMaxReserveRecords = std::uint64_t{1} << 20;
 
 template <typename T>
 void put(std::ostream& os, const T& value) {
@@ -137,7 +144,9 @@ TraceReader::TraceReader(std::istream& is) : is_(is) {
     f.id = get<FileId>(is_);
     f.size_bytes = get<std::uint64_t>(is_);
     files_.push_back(f);
+    file_ids_.push_back(f.id);
   }
+  std::sort(file_ids_.begin(), file_ids_.end());
   record_count_ = get<std::uint64_t>(is_);
   buf_.resize(TraceWriter::kChunkRecords * kRecordWireBytes);
 }
@@ -171,9 +180,22 @@ bool TraceReader::next(Record& out) {
   out.file = decode<FileId>(p);
   out.offset = decode<std::uint64_t>(p);
   out.size = decode<std::uint32_t>(p);
-  out.op = static_cast<OpType>(decode<std::uint8_t>(p));
+  const auto op = decode<std::uint8_t>(p);
   out.client = decode<std::uint16_t>(p);
   (void)decode<std::uint8_t>(p);  // pad
+  // The replay indexes per-file tables by these fields, so a corrupt value
+  // must stop here, not read past a table later.
+  if (!std::binary_search(file_ids_.begin(), file_ids_.end(), out.file)) {
+    throw std::runtime_error("trace record " + std::to_string(records_read_) +
+                             " names file " + std::to_string(out.file) +
+                             ", which is not in the file table");
+  }
+  if (op > static_cast<std::uint8_t>(OpType::kWrite)) {
+    throw std::runtime_error("trace record " + std::to_string(records_read_) +
+                             " has op byte " + std::to_string(op) +
+                             " (expected 0-3)");
+  }
+  out.op = static_cast<OpType>(op);
   buf_pos_ += kRecordWireBytes;
   ++records_read_;
   return true;
@@ -192,7 +214,8 @@ Trace load_trace(std::istream& is) {
   Trace trace;
   trace.name = reader.name();
   trace.files = reader.files();
-  trace.records.reserve(reader.record_count());
+  trace.records.reserve(static_cast<std::size_t>(
+      std::min(reader.record_count(), kMaxReserveRecords)));
   Record r;
   while (reader.next(r)) trace.records.push_back(r);
   return trace;
@@ -208,6 +231,19 @@ Trace load_trace_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw std::runtime_error("cannot open for read: " + path);
   return load_trace(is);
+}
+
+Trace load_any_trace_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) throw std::runtime_error("cannot open for read: " + path);
+  char magic[sizeof(kMagic)] = {};
+  is.read(magic, sizeof(magic));
+  if (is.gcount() == sizeof(magic) &&
+      std::memcmp(magic, kMagic, sizeof(kMagic)) == 0) {
+    is.seekg(0);
+    return load_trace(is);
+  }
+  return load_text_trace_file(path);
 }
 
 }  // namespace edm::trace

@@ -35,6 +35,11 @@ Trace load_trace(std::istream& is);
 void save_trace_file(const Trace& trace, const std::string& path);
 Trace load_trace_file(const std::string& path);
 
+/// Loads `path` as a binary trace if it starts with the binary magic, else
+/// as a text trace (trace/text_io.h).  The chosen format's error
+/// propagates: a damaged binary trace is never re-parsed as text.
+Trace load_any_trace_file(const std::string& path);
+
 /// Streaming writer: header and file table up front, records appended one
 /// at a time through a chunk buffer.  The record count is backpatched on
 /// finish(), so the target stream must be seekable (a file is).
@@ -89,7 +94,9 @@ class TraceReader {
   std::uint64_t records_read() const { return records_read_; }
 
   /// Reads the next record into `out`; returns false at end of trace.
-  /// Throws std::runtime_error on a truncated stream.
+  /// Throws std::runtime_error on a truncated stream, and on a record whose
+  /// file id is not in the file table or whose op byte is not an OpType;
+  /// the message names the record's index and the bad value.
   bool next(Record& out);
 
  private:
@@ -98,6 +105,7 @@ class TraceReader {
   std::istream& is_;
   std::string name_;
   std::vector<FileSpec> files_;
+  std::vector<FileId> file_ids_;  // sorted, for the per-record check
   std::uint64_t record_count_ = 0;
   std::uint64_t records_read_ = 0;
   std::vector<char> buf_;

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <fstream>
 #include <sstream>
 
 #include "trace/generator.h"
 #include "trace/profile.h"
+#include "trace/text_io.h"
 
 namespace edm::trace {
 namespace {
@@ -130,7 +133,10 @@ TEST(TraceIo, StreamingChunkBoundaries) {
         2 * TraceWriter::kChunkRecords + 7}) {
     std::stringstream buffer;
     {
-      TraceWriter writer(buffer, "chunky", {});
+      // Every record names a file of the table (the reader checks).
+      std::vector<FileSpec> files(n);
+      for (std::size_t i = 0; i < n; ++i) files[i] = {i, 1 << 20};
+      TraceWriter writer(buffer, "chunky", files);
       for (std::size_t i = 0; i < n; ++i) {
         writer.append({static_cast<FileId>(i), i * 17, 512, OpType::kWrite,
                        static_cast<std::uint16_t>(i % 5)});
@@ -207,6 +213,103 @@ TEST(TraceIo, StreamingReaderRejectsTruncatedRecords) {
         }
       },
       std::runtime_error);
+}
+
+// Corrupt record fields: the replay indexes per-file tables by the file id
+// and switches on the op, so the reader must stop a bad value with an error
+// that names the record and the value.
+
+/// One 1 MiB file plus open / read / close; the read carries `file` and
+/// `op_byte`.
+std::string one_file_trace(FileId file, std::uint8_t op_byte) {
+  std::stringstream buffer;
+  TraceWriter writer(buffer, "one", {{0, 1 << 20}});
+  writer.append({0, 0, 0, OpType::kOpen, 0});
+  writer.append({file, 4096, 4096, static_cast<OpType>(op_byte), 0});
+  writer.append({0, 0, 0, OpType::kClose, 0});
+  writer.finish();
+  return buffer.str();
+}
+
+TEST(TraceIo, AcceptsRecordsOfTheFileTable) {
+  std::stringstream buffer(
+      one_file_trace(0, static_cast<std::uint8_t>(OpType::kWrite)));
+  const Trace trace = load_trace(buffer);
+  ASSERT_EQ(trace.records.size(), 3u);
+  EXPECT_EQ(trace.records[1].op, OpType::kWrite);
+}
+
+TEST(TraceIo, RejectsRecordNamingFileOutsideTheTable) {
+  for (const FileId file : {FileId{3}, FileId{1} << 40}) {
+    const std::string msg = thrown_message(
+        one_file_trace(file, static_cast<std::uint8_t>(OpType::kRead)));
+    EXPECT_NE(msg.find("trace record 1 "), std::string::npos) << msg;
+    EXPECT_NE(msg.find("file " + std::to_string(file)), std::string::npos)
+        << msg;
+  }
+}
+
+TEST(TraceIo, RejectsRecordWithUnknownOpByte) {
+  for (const std::uint8_t op : {4, 255}) {
+    const std::string msg = thrown_message(one_file_trace(0, op));
+    EXPECT_NE(msg.find("trace record 1 "), std::string::npos) << msg;
+    EXPECT_NE(msg.find("op byte " + std::to_string(op)), std::string::npos)
+        << msg;
+  }
+}
+
+TEST(TraceIo, CorruptRecordCountFailsAsTruncationNotAllocation) {
+  std::string bytes =
+      one_file_trace(0, static_cast<std::uint8_t>(OpType::kRead));
+  // The record count follows magic, version, name length, the 3-byte name,
+  // the file count and one 16-byte file entry.
+  const std::size_t count_at = 8 + 4 + 4 + 3 + 8 + 16;
+  std::uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + count_at, sizeof(count));
+  ASSERT_EQ(count, 3u);
+  count = std::uint64_t{1} << 50;
+  std::memcpy(bytes.data() + count_at, &count, sizeof(count));
+  const std::string msg = thrown_message(bytes);  // not std::bad_alloc
+  EXPECT_NE(msg.find("trace chunk truncated"), std::string::npos) << msg;
+}
+
+std::string write_temp(const std::string& name, const std::string& bytes) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream os(path, std::ios::binary);
+  os << bytes;
+  return path;
+}
+
+TEST(TraceIo, LoadAnyPicksTheFormatByMagic) {
+  const Trace original = sample_trace();
+  const std::string bin = ::testing::TempDir() + "/edm_any_trace.bin";
+  save_trace_file(original, bin);
+  EXPECT_EQ(load_any_trace_file(bin).records.size(), original.records.size());
+
+  const std::string text = write_temp("edm_any_trace.txt",
+                                      "file 0 4096\nopen 0\nread 0 0 512\n");
+  const Trace parsed = load_any_trace_file(text);
+  ASSERT_EQ(parsed.records.size(), 2u);
+  EXPECT_EQ(parsed.records[1].op, OpType::kRead);
+}
+
+// A damaged binary trace reports the binary error; it is not re-parsed as
+// text (which would bury the cause under a text parse error).
+TEST(TraceIo, LoadAnyKeepsTheBinaryError) {
+  const std::string path =
+      write_temp("edm_any_bad.bin",
+                 one_file_trace(FileId{1} << 40,
+                                static_cast<std::uint8_t>(OpType::kRead)));
+  try {
+    load_any_trace_file(path);
+    ADD_FAILURE() << "a record outside the file table was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("not in the file table"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("text trace"), std::string::npos) << msg;
+  }
+  EXPECT_THROW(load_any_trace_file("/nonexistent/path/trace.any"),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -77,7 +77,6 @@
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "trace/io.h"
-#include "trace/text_io.h"
 #include "util/flags.h"
 #include "util/provenance.h"
 #include "workload/tenant.h"
@@ -313,15 +312,6 @@ edm::sim::FaultPlan fault_plan_from(const Options& opt) {
   return plan;
 }
 
-edm::trace::Trace load_trace_any(const std::string& path) {
-  // Binary traces start with the magic; fall back to the text parser.
-  try {
-    return edm::trace::load_trace_file(path);
-  } catch (const std::runtime_error&) {
-    return edm::trace::load_text_trace_file(path);
-  }
-}
-
 /// Builds the open-loop config from --arrival/--rate/--burst/--tenants.
 /// Returns a disabled config (empty tenants) for --arrival=closed.
 edm::workload::OpenLoopConfig open_loop_from(const Options& opt) {
@@ -523,7 +513,7 @@ int main(int argc, char** argv) {
 
     edm::sim::RunResult result;
     if (!opt.trace_file.empty()) {
-      const auto trace = load_trace_any(opt.trace_file);
+      const auto trace = edm::trace::load_any_trace_file(opt.trace_file);
       cfg.trace_name = trace.name;
       result = edm::sim::run_experiment(cfg, trace);
     } else {
