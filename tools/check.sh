@@ -2,7 +2,8 @@
 # Full pre-merge check: documentation consistency (tools/check_docs.sh),
 # then build + test the normal config (plus a build and test run of the
 # replay benchmark in perfbench/, a perf_scale smoke that validates the
-# edm-bench-result/1 JSON shape and the streaming-replay RSS ceiling, and
+# edm-bench-result/1 JSON shape, the streaming-replay RSS ceiling and the
+# materialised replay's single copy of the trace, and
 # an open-loop smoke asserting per-tenant p99 separation under overload
 # and the workload JSON shape), then the asan-ubsan config plus fault,
 # open-loop, determinism and parallelism smokes (ext_failslow/
@@ -66,6 +67,25 @@ for c in d["cells"]:
 print(f"scale smoke: {len(d['cells'])} cells, RSS "
       f"{max(c['peak_rss_bytes'] for c in d['cells'])/2**20:.1f} MiB "
       f"< 256 MiB ceiling, JSON shape ok")
+EOF
+  # Both modes at scale 0.5: a materialised replay reads its trace in place,
+  # so it may hold the trace once (completed_ops records of 24 bytes) above
+  # the streaming footprint, with a quarter of slack, but not the second
+  # copy per-client record vectors would add.
+  ./build/bench/perf_scale --scales=0.5 --repeat=1 --out="$out" >/dev/null
+  python3 - "$out" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    cells = {c["mode"]: c for c in json.load(f)["cells"]}
+m, s = cells["materialized"], cells["streaming"]
+trace_bytes = m["completed_ops"] * 24
+excess = m["peak_rss_bytes"] - s["peak_rss_bytes"]
+assert excess <= 1.25 * trace_bytes, (
+    f"materialised peak RSS exceeds streaming by {excess/2**20:.1f} MiB, "
+    f"{excess/trace_bytes:.2f}x the {trace_bytes/2**20:.1f} MiB trace: "
+    "the replay holds more than one copy of it")
+print(f"scale smoke: materialised - streaming = {excess/2**20:.1f} MiB, "
+      f"{excess/trace_bytes:.2f}x the trace (limit 1.25x)")
 EOF
   rm -f "$out"
 }
