@@ -258,5 +258,86 @@ TEST(Digest, HdfDeasnaFaultsAndTelemetry) {
   check_digest("deasna_hdf_faults_timeseries.csv", ts_os.str());
 }
 
+// --- Device-slot digests ---------------------------------------------
+//
+// The cells above all run flat devices under a closed loop without
+// health.  These three pin the OSD service path where it differs: a
+// parallel-geometry device at depth > 1 (open loop, hedged reads and a
+// quarantine drain; then faults, retries and rebuild chunks), and a
+// parallel-geometry device at depth 1.
+
+flash::FlashConfig nvme_flash() {
+  flash::FlashConfig flash;
+  flash.geometry = flash::FlashGeometry{8, 4, 2};  // edm_run's "nvme"
+  flash.bus_ctrl_us = 2;
+  flash.bus_data_us = 10;
+  return flash;
+}
+
+TEST(Digest, OpenLoopFailSlowNvmeQd8) {
+  // perfbench's openloop-failslow shape (two Poisson tenants at half
+  // capacity, OSD 3 slowed 4x, health + mitigation) at a scale where the
+  // monitor flags OSD 3 in time to hedge reads and drain objects.
+  ExperimentConfig cfg;
+  cfg.scale = 0.08;
+  cfg.policy = core::PolicyKind::kNone;
+  cfg.sim.trigger = MigrationTrigger::kNone;
+  cfg.flash = nvme_flash();
+  cfg.sim.osd_queue_depth = 8;
+  cfg.sim.health.enabled = true;
+  cfg.sim.health.mitigate = true;
+  cfg.sim.health.check_interval_us = 500 * 1000;
+  cfg.sim.faults.slow(3, static_cast<SimTime>(20e6 * cfg.scale), 4.0);
+  cfg.sim.faults.recover(3, static_cast<SimTime>(30e6 * cfg.scale));
+  workload::TenantSpec home;
+  home.profile = "home02";
+  home.rate_ops_per_sec = 29400.0;
+  workload::TenantSpec lair;
+  lair.profile = "lair62";
+  lair.rate_ops_per_sec = 15275.0;
+  cfg.open_loop.tenants = {home, lair};
+
+  const RunResult result = run_experiment(cfg);
+  check_digest("openloop_failslow_nvme_qd8.json", report_json(result));
+  EXPECT_EQ(result.health.flagged_osds, std::vector<std::uint32_t>{3});
+  EXPECT_GT(result.health.hedged_reads, 0u);
+  EXPECT_GT(result.health.drain_moved, 0u);
+}
+
+TEST(Digest, HdfDeasnaFaultsSataQd4) {
+  // Device failures, an online rebuild and transient errors on
+  // multi-inflight OSDs, all inside the foreground replay (it runs about
+  // 0.6 s): retries and abandoned sub-requests complete out of device
+  // slots, and the second failure aborts rebuild objects whose peer reads
+  // are in service, so their chunks complete stale.
+  ExperimentConfig cfg = base_cell("deasna", core::PolicyKind::kHdf);
+  cfg.flash.geometry = flash::FlashGeometry{4, 2, 1};  // edm_run's "sata"
+  cfg.flash.bus_ctrl_us = 5;
+  cfg.flash.bus_data_us = 40;
+  cfg.sim.osd_queue_depth = 4;
+  cfg.sim.faults.fail(2, 100 * 1000)
+      .rebuild(2, 150 * 1000)
+      .fail(7, 325 * 1000);
+  cfg.sim.faults.transient_error_rate = 0.02;
+  cfg.sim.retry.max_attempts = 2;
+
+  const RunResult result = run_experiment(cfg);
+  check_digest("deasna_hdf_faults_sata_qd4.json", report_json(result));
+  EXPECT_EQ(result.faults.scheduled_failures, 2u);
+  EXPECT_GT(result.faults.requeued_on_failure, 0u);
+  EXPECT_GT(result.faults.retried_requests, 0u);
+  EXPECT_GT(result.faults.abandoned_requests, 0u);
+  EXPECT_GT(result.faults.rebuild_objects, 0u);
+  EXPECT_GT(result.faults.rebuild_aborted, 0u);
+}
+
+TEST(Digest, HdfHome02NvmeQd1) {
+  // A parallel-geometry device served one request at a time.
+  ExperimentConfig cfg = base_cell("home02", core::PolicyKind::kHdf);
+  cfg.flash = nvme_flash();
+  cfg.sim.osd_queue_depth = 1;
+  check_digest("home02_hdf_nvme_qd1.json", report_json(run_experiment(cfg)));
+}
+
 }  // namespace
 }  // namespace edm::sim
