@@ -40,7 +40,7 @@
 namespace edm::sim {
 
 enum class EventKind : std::uint8_t {
-  kOsdComplete = 0,    // payload = osd id
+  kOsdComplete = 0,    // payload = device-slot index of the served request
   kEpochTick = 1,      // temperature epoch boundary / wear-monitor check
   kMoverResume = 2,    // payload = lane id | generation<<32 (pacing/backoff)
   kFault = 3,          // scheduled FaultPlan event is due
@@ -50,7 +50,6 @@ enum class EventKind : std::uint8_t {
   kHealthCheck = 7,      // periodic health-monitor evaluation (payload unused)
   kHedgeDeadline = 8,    // payload = hedge slot | generation<<32
   kArrival = 9,          // open-loop arrival is due (payload unused)
-  kDeviceComplete = 10,  // payload = device-slot index (multi-inflight OSDs)
 };
 
 struct Event {

@@ -26,6 +26,19 @@ std::uint32_t payload_lane(std::uint64_t payload) {
 std::uint32_t payload_gen(std::uint64_t payload) {
   return static_cast<std::uint32_t>(payload >> 32);
 }
+/// Index of a free slot of a pool (ops, device, retry and hedge slots):
+/// the last one freed, else a new default-constructed slot at the end.
+template <typename T>
+std::uint32_t take_slot(std::vector<T>& slots,
+                        std::vector<std::uint32_t>& free_slots) {
+  if (free_slots.empty()) {
+    slots.emplace_back();
+    return static_cast<std::uint32_t>(slots.size() - 1);
+  }
+  const std::uint32_t slot = free_slots.back();
+  free_slots.pop_back();
+  return slot;
+}
 }  // namespace
 
 void SimConfig::validate(std::uint32_t num_osds) const {
@@ -262,7 +275,7 @@ RunResult Simulator::run() {
     if (tel_ != nullptr) tel_->set_now(e.time);
     switch (e.kind()) {
       case EventKind::kOsdComplete:
-        on_osd_complete(static_cast<OsdId>(e.payload), e.time);
+        on_osd_complete(e.payload, e.time);
         break;
       case EventKind::kEpochTick:
         on_epoch_tick(e.time);
@@ -305,9 +318,6 @@ RunResult Simulator::run() {
         break;
       case EventKind::kArrival:
         on_arrival(e.time);
-        break;
-      case EventKind::kDeviceComplete:
-        on_device_complete(e.payload, e.time);
         break;
     }
   }
@@ -408,14 +418,7 @@ RunResult Simulator::run() {
 // ---------------------------------------------------------------- clients
 
 std::uint32_t Simulator::alloc_op(std::uint16_t client_id, SimTime now) {
-  std::uint32_t id;
-  if (!free_ops_.empty()) {
-    id = free_ops_.back();
-    free_ops_.pop_back();
-  } else {
-    id = static_cast<std::uint32_t>(ops_.size());
-    ops_.emplace_back();
-  }
+  const std::uint32_t id = take_slot(ops_, free_ops_);
   ops_[id] = OpState{client_id, 0, 0, now};
   return id;
 }
@@ -512,8 +515,7 @@ void Simulator::inject_arrival(const workload::Arrival& arrival, SimTime now) {
     tracker_.on_access(io.oid, io.pages, io.is_write);
     enqueue({SubRequest::Kind::kClient, op_id, io, now}, now);
     const OsdServer& s = servers_[io.osd];
-    const std::uint64_t depth =
-        s.queue.size() + (s.busy ? 1 : 0) + s.inflight;
+    const std::uint64_t depth = s.queue.size() + s.inflight;
     if (depth > openloop_peak_queue_) openloop_peak_queue_ = depth;
   }
 }
@@ -574,9 +576,9 @@ void Simulator::dispatch(OsdId osd, SimTime now) {
 }
 
 /// One request at the head of `osd`'s line: parked, redirected, resolved
-/// degraded, dropped stale, or put into service (sets busy).  Shared by
-/// dispatch() and enqueue()'s idle-server fast path -- the checks must be
-/// identical on both routes.
+/// degraded, dropped stale, or put into service in a device slot.  Shared
+/// by dispatch() and enqueue()'s idle-server fast path -- the checks must
+/// be identical on both routes.
 void Simulator::process_one(SubRequest req, OsdId osd, SimTime now) {
   OsdServer& s = servers_[osd];
   if (stale(req)) return;  // lane aborted while the chunk was queued
@@ -621,31 +623,16 @@ void Simulator::process_one(SubRequest req, OsdId osd, SimTime now) {
   if (injector_ != nullptr && injector_->any_slow()) {
     service = injector_->degrade(osd, service);
   }
-  if (osd_qd_[osd] <= 1) {
-    s.busy = true;
-    s.busy_us += service;
-    s.current = std::move(req);
-    s.service_start = now;
-    events_.push(now + service, EventKind::kOsdComplete, osd);
-    return;
-  }
-  // Multi-inflight (parallel-geometry device): the request rides a device
-  // slot instead of the server's single `current` register; the device's
-  // own bus/die/plane timelines already serialised whatever had to be, so
-  // `device` includes any internal queueing delay.
+  // Into service: the request waits out `service` in a device slot.  A
+  // parallel-geometry device's own bus/die/plane timelines already
+  // serialised whatever had to be, so `service` includes any internal
+  // queueing delay when several requests are in service at once.
   ++s.inflight;
   s.busy_us += service;
-  std::uint32_t slot;
-  if (!free_device_slots_.empty()) {
-    slot = free_device_slots_.back();
-    free_device_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(device_slots_.size());
-    device_slots_.emplace_back();
-  }
+  const std::uint32_t slot = take_slot(device_slots_, free_device_slots_);
   device_slots_[slot].req = std::move(req);
   device_slots_[slot].service_start = now;
-  events_.push(now + service, EventKind::kDeviceComplete, slot);
+  events_.push(now + service, EventKind::kOsdComplete, slot);
 }
 
 SimDuration Simulator::execute(const cluster::OsdIo& io, SimTime now) {
@@ -664,15 +651,7 @@ SimDuration Simulator::execute(const cluster::OsdIo& io, SimTime now) {
                      : osd.read_at(now, io.oid, io.first_page, io.pages);
 }
 
-void Simulator::on_osd_complete(OsdId osd, SimTime now) {
-  OsdServer& s = servers_[osd];
-  assert(s.busy);
-  s.busy = false;
-  SubRequest req = std::move(s.current);
-  finish_service(std::move(req), osd, s.service_start, now);
-}
-
-void Simulator::on_device_complete(std::uint64_t payload, SimTime now) {
+void Simulator::on_osd_complete(std::uint64_t payload, SimTime now) {
   const auto slot = static_cast<std::uint32_t>(payload);
   SubRequest req = std::move(device_slots_[slot].req);
   const SimTime service_start = device_slots_[slot].service_start;
@@ -681,12 +660,6 @@ void Simulator::on_device_complete(std::uint64_t payload, SimTime now) {
   OsdServer& s = servers_[osd];
   assert(s.inflight > 0);
   --s.inflight;
-  finish_service(std::move(req), osd, service_start, now);
-}
-
-void Simulator::finish_service(SubRequest req, OsdId osd, SimTime service_start,
-                               SimTime now) {
-  OsdServer& s = servers_[osd];
   s.load.add(static_cast<double>(now - req.enqueue_time));
   ++s.served;
   // The health monitor scores whatever the cluster actually produces --
@@ -972,14 +945,7 @@ void Simulator::resolve_degraded_client(SubRequest req, SimTime now) {
 }
 
 void Simulator::schedule_retry(SubRequest req, SimTime when) {
-  std::uint32_t slot;
-  if (!free_retry_slots_.empty()) {
-    slot = free_retry_slots_.back();
-    free_retry_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(retry_slots_.size());
-    retry_slots_.emplace_back();
-  }
+  const std::uint32_t slot = take_slot(retry_slots_, free_retry_slots_);
   retry_slots_[slot] = std::move(req);
   events_.push(when, EventKind::kRetryResume, slot);
 }
@@ -1468,14 +1434,7 @@ void Simulator::start_drain(OsdId osd, SimTime now) {
 }
 
 void Simulator::arm_hedge(SubRequest& req, SimTime now) {
-  std::uint32_t slot;
-  if (!free_hedge_slots_.empty()) {
-    slot = free_hedge_slots_.back();
-    free_hedge_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(hedge_slots_.size());
-    hedge_slots_.emplace_back();
-  }
+  const std::uint32_t slot = take_slot(hedge_slots_, free_hedge_slots_);
   HedgeSlot& h = hedge_slots_[slot];  // gen survives slot reuse
   h.op_id = req.owner;
   h.io = req.io;
@@ -1597,8 +1556,7 @@ void Simulator::on_telemetry_sample(SimTime now) {
   for (std::uint32_t i = 0; i < servers_.size(); ++i) {
     const OsdServer& s = servers_[i];
     telemetry::OsdSample& o = row.osds[i];
-    o.queue_depth = static_cast<std::uint32_t>(s.queue.size()) +
-                    (s.busy ? 1u : 0u) + s.inflight;
+    o.queue_depth = static_cast<std::uint32_t>(s.queue.size()) + s.inflight;
     o.utilization = cluster_.osd(i).utilization();
     o.load_ewma_us = s.load.value();
     o.erases = cluster_.osd(i).flash_stats().erase_count;

@@ -5,10 +5,12 @@
 //    operation fans out into per-OSD object page I/O via the cluster's
 //    RAID-5 mapping, and the next record is issued when the previous
 //    operation fully completes.
-//  * Every OSD services its queue serially ("osc-osd ... handles them
-//    serially"); the per-request service time is a fixed software/network
-//    overhead plus the flash simulator's device time, which includes GC
-//    stalls.
+//  * Every OSD serves its queue in FIFO order.  A flat (paper-model) device
+//    serves one request at a time ("osc-osd ... handles them serially"); a
+//    parallel-geometry device up to `osd_queue_depth` at once.  Each request
+//    in service sits in a device slot until its completion event.  The
+//    per-request service time is a fixed software/network overhead plus the
+//    flash simulator's device time, which includes GC stalls.
 //  * The data mover executes a migration plan on `mover_concurrency`
 //    parallel lanes; its chunked reads/writes share the OSD queues with
 //    foreground traffic.  Policies that move hot data (HDF, CMT) block
@@ -256,12 +258,8 @@ class Simulator {
     // Ring, not deque: this queue breathes on every dispatch, and deque
     // chunk churn was measurable in the replay profile.
     util::RingQueue<SubRequest> queue;
-    bool busy = false;
-    SubRequest current;
-    SimTime service_start = 0;  // when `current` entered service
-    // Multi-inflight accounting (parallel-geometry devices served at
-    // osd_queue_depth > 1); always 0 on the serial depth-1 path, where
-    // busy/current carry the single in-service request.
+    // Requests in service, each parked in a device slot; at most
+    // osd_qd_[osd].
     std::uint32_t inflight = 0;
     util::Ewma load;
     std::uint64_t served = 0;
@@ -329,20 +327,14 @@ class Simulator {
   void enqueue(SubRequest req, SimTime now);
   void dispatch(OsdId osd, SimTime now);
   void process_one(SubRequest req, OsdId osd, SimTime now);
-  void on_osd_complete(OsdId osd, SimTime now);
-  /// kDeviceComplete handler: one of a multi-inflight OSD's concurrent
-  /// requests finished; payload is its device-slot index.
-  void on_device_complete(std::uint64_t payload, SimTime now);
-  /// Completion tail shared by the serial (on_osd_complete) and
-  /// multi-inflight (on_device_complete) paths: load/served accounting,
-  /// health observation, transient-error retries, kind dispatch, and the
+  /// kOsdComplete handler: the request in device slot `payload` finished
+  /// service.  Frees the slot, then load/served accounting, health
+  /// observation, transient-error retries, kind dispatch, and the
   /// follow-up dispatch() of the freed capacity.
-  void finish_service(SubRequest req, OsdId osd, SimTime service_start,
-                      SimTime now);
+  void on_osd_complete(std::uint64_t payload, SimTime now);
   /// Whether `osd` can put another request into service right now.
   bool can_accept(OsdId osd) const {
-    const OsdServer& s = servers_[osd];
-    return osd_qd_[osd] <= 1 ? !s.busy : s.inflight < osd_qd_[osd];
+    return servers_[osd].inflight < osd_qd_[osd];
   }
   /// `now` is the dispatch time handed to parallel-geometry devices (their
   /// bus/die/plane timelines are absolute); flat devices ignore it.
@@ -444,8 +436,8 @@ class Simulator {
   /// Effective service depth per OSD: cfg_.osd_queue_depth for devices on
   /// the parallel timing path, 1 for flat devices (definitionally serial).
   std::vector<std::uint32_t> osd_qd_;
-  /// Parked in-service requests of multi-inflight OSDs; the slot index
-  /// rides the kDeviceComplete event payload.
+  /// Requests in service on any OSD, one slot each; the slot index rides
+  /// the kOsdComplete event payload.
   struct DeviceSlot {
     SubRequest req;
     SimTime service_start = 0;
