@@ -1,7 +1,10 @@
 // DES-integrated failure injection: replay continues in degraded mode.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "cluster/cluster.h"
 #include "sim/simulator.h"
@@ -78,6 +81,27 @@ TEST(FailureInjection, FractionControlsInjectionPoint) {
   const auto b = late.run(2, 0.9);
   EXPECT_LT(a.degraded.failed_at, b.degraded.failed_at);
   EXPECT_GT(a.degraded.degraded_reads, b.degraded.degraded_reads);
+}
+
+TEST(FailureInjection, FractionOutsideTheUnitIntervalIsRejected) {
+  Rig rig;
+  for (const double at : {1.5, -0.25, std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity()}) {
+    try {
+      rig.run(1, at);
+      ADD_FAILURE() << "fail_at_fraction " << at << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("fail_at_fraction"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Both ends of [0, 1] fail the OSD; with no fail_osd the fraction is inert.
+  EXPECT_EQ(rig.run(1, 0.0).degraded.failed_osd, 1);
+  Rig last;
+  EXPECT_EQ(last.run(1, 1.0).degraded.failed_osd, 1);
+  Rig off;
+  EXPECT_EQ(off.run(-1, 1.5).degraded.failed_osd, -1);
 }
 
 TEST(FailureInjection, MigrationAvoidsTheDeadDevice) {
