@@ -144,9 +144,8 @@ TraceReader::TraceReader(std::istream& is) : is_(is) {
     f.id = get<FileId>(is_);
     f.size_bytes = get<std::uint64_t>(is_);
     files_.push_back(f);
-    file_ids_.push_back(f.id);
+    file_sizes_.emplace(f.id, f.size_bytes);
   }
-  std::sort(file_ids_.begin(), file_ids_.end());
   record_count_ = get<std::uint64_t>(is_);
   buf_.resize(TraceWriter::kChunkRecords * kRecordWireBytes);
 }
@@ -185,7 +184,8 @@ bool TraceReader::next(Record& out) {
   (void)decode<std::uint8_t>(p);  // pad
   // The replay indexes per-file tables by these fields, so a corrupt value
   // must stop here, not read past a table later.
-  if (!std::binary_search(file_ids_.begin(), file_ids_.end(), out.file)) {
+  const auto file = file_sizes_.find(out.file);
+  if (file == file_sizes_.end()) {
     throw std::runtime_error("trace record " + std::to_string(records_read_) +
                              " names file " + std::to_string(out.file) +
                              ", which is not in the file table");
@@ -196,6 +196,15 @@ bool TraceReader::next(Record& out) {
                              " (expected 0-3)");
   }
   out.op = static_cast<OpType>(op);
+  // Cluster::map_request would clamp a range past the file's end, so a
+  // corrupt extent would replay different I/O without a word.
+  if (out.op == OpType::kRead || out.op == OpType::kWrite) {
+    const std::string bad = extent_error(out.offset, out.size, file->second);
+    if (!bad.empty()) {
+      throw std::runtime_error(
+          "trace record " + std::to_string(records_read_) + ": " + bad);
+    }
+  }
   buf_pos_ += kRecordWireBytes;
   ++records_read_;
   return true;

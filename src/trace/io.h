@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "trace/record.h"
@@ -95,8 +96,9 @@ class TraceReader {
 
   /// Reads the next record into `out`; returns false at end of trace.
   /// Throws std::runtime_error on a truncated stream, and on a record whose
-  /// file id is not in the file table or whose op byte is not an OpType;
-  /// the message names the record's index and the bad value.
+  /// file id is not in the file table, whose op byte is not an OpType, or
+  /// (reads and writes) whose byte range fails extent_error(); the message
+  /// names the record's index and the bad value.
   bool next(Record& out);
 
  private:
@@ -105,7 +107,7 @@ class TraceReader {
   std::istream& is_;
   std::string name_;
   std::vector<FileSpec> files_;
-  std::vector<FileId> file_ids_;  // sorted, for the per-record check
+  std::unordered_map<FileId, std::uint64_t> file_sizes_;  // record checks
   std::uint64_t record_count_ = 0;
   std::uint64_t records_read_ = 0;
   std::vector<char> buf_;

@@ -16,6 +16,20 @@ const char* to_string(OpType op) {
   return "?";
 }
 
+std::string extent_error(std::uint64_t offset, std::uint64_t size,
+                         std::uint64_t file_size) {
+  if (size == 0) return "request size must be > 0";
+  if (size >> 32 != 0) {
+    return "request size " + std::to_string(size) + " is not below 2^32";
+  }
+  if (size > file_size || offset > file_size - size) {
+    return "request [" + std::to_string(offset) + ", +" +
+           std::to_string(size) + ") exceeds file size " +
+           std::to_string(file_size);
+  }
+  return {};
+}
+
 std::uint64_t Trace::total_file_bytes() const {
   std::uint64_t total = 0;
   for (const auto& f : files) total += f.size_bytes;

@@ -30,6 +30,13 @@ struct FileSpec {
   std::uint64_t size_bytes = 0;
 };
 
+/// What is wrong with a read/write of [offset, offset + size) in a file of
+/// `file_size` bytes, or "" if nothing: the size must be in [1, 2^32) and
+/// the range must end inside the file (checked without overflow).  Both
+/// trace readers prefix it with the record index or line number.
+std::string extent_error(std::uint64_t offset, std::uint64_t size,
+                         std::uint64_t file_size);
+
 struct Trace {
   std::string name;
   std::vector<FileSpec> files;

@@ -81,12 +81,8 @@ Trace load_text_trace(std::istream& is, const std::string& name) {
       if (!(fields >> offset >> size)) {
         fail(line_no, "expected: <op> <file> <offset> <size> [client]");
       }
-      if (size == 0) fail(line_no, "request size must be > 0");
-      if (offset + size > it->second) {
-        fail(line_no, "request [" + std::to_string(offset) + ", +" +
-                          std::to_string(size) + ") exceeds file size " +
-                          std::to_string(it->second));
-      }
+      const std::string bad = extent_error(offset, size, it->second);
+      if (!bad.empty()) fail(line_no, bad);
       rec.offset = offset;
       rec.size = static_cast<std::uint32_t>(size);
     }

@@ -258,6 +258,48 @@ TEST(TraceIo, RejectsRecordWithUnknownOpByte) {
   }
 }
 
+/// One 1 MiB file plus open / op / close, the op over [offset, +size).
+std::string one_extent_trace(OpType op, std::uint64_t offset,
+                             std::uint32_t size) {
+  std::stringstream buffer;
+  TraceWriter writer(buffer, "one", {{0, 1 << 20}});
+  writer.append({0, 0, 0, OpType::kOpen, 0});
+  writer.append({0, offset, size, op, 0});
+  writer.append({0, 0, 0, OpType::kClose, 0});
+  writer.finish();
+  return buffer.str();
+}
+
+TEST(TraceIo, RejectsBadExtentsNamingTheRecord) {
+  struct Case {
+    std::uint64_t offset;
+    std::uint32_t size;
+    const char* what;
+  };
+  for (const OpType op : {OpType::kRead, OpType::kWrite}) {
+    for (const Case& c :
+         {Case{4096, 0, "must be > 0"},
+          Case{std::uint64_t{1} << 40, 4096, "exceeds file size 1048576"},
+          Case{(1 << 20) - 4095, 4096, "exceeds file size 1048576"},
+          Case{0, 0xFFFFFFFFu, "exceeds file size 1048576"},
+          // offset + size wraps to 1, inside the file.
+          Case{~std::uint64_t{0}, 2, "exceeds file size 1048576"}}) {
+      const std::string msg =
+          thrown_message(one_extent_trace(op, c.offset, c.size));
+      EXPECT_NE(msg.find("trace record 1: "), std::string::npos) << msg;
+      EXPECT_NE(msg.find(c.what), std::string::npos) << msg;
+    }
+  }
+}
+
+TEST(TraceIo, AcceptsAnExtentEndingAtTheEndOfItsFile) {
+  std::stringstream buffer(
+      one_extent_trace(OpType::kWrite, (1 << 20) - 4096, 4096));
+  const Trace trace = load_trace(buffer);
+  ASSERT_EQ(trace.records.size(), 3u);
+  EXPECT_EQ(trace.records[1].offset, (1u << 20) - 4096);
+}
+
 TEST(TraceIo, CorruptRecordCountFailsAsTruncationNotAllocation) {
   std::string bytes =
       one_file_trace(0, static_cast<std::uint8_t>(OpType::kRead));

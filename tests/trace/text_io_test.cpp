@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "trace/generator.h"
 #include "trace/profile.h"
@@ -62,6 +63,51 @@ TEST(TextIo, RejectsMalformedInput) {
   expect_fail("file 0 8192\nread 0 8000 4096\n", "beyond eof");
   expect_fail("file 0 8192\nwrite 0 0 0\n", "zero-size request");
   expect_fail("file 0 8192\nwrite 0 0\n", "missing size field");
+}
+
+/// The message load_text_trace throws for `body`, or "" if it parses.
+std::string parse_error(const std::string& body) {
+  std::istringstream in(body);
+  try {
+    load_text_trace(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TextIo, RejectsBadExtentsNamingTheLine) {
+  struct Case {
+    const char* body;
+    const char* line;
+    const char* what;
+  };
+  for (const Case& c : {
+           // offset + size wraps to 1, inside the file.
+           Case{"file 0 1048576\nread 0 18446744073709551615 2\n", "line 2:",
+                "exceeds file size 1048576"},
+           // 2^32 + 4096 fits the 8 GiB file but not Record::size, which
+           // would keep only the 4096.
+           Case{"file 0 8589934592\n\nwrite 0 0 4294971392\n", "line 3:",
+                "not below 2^32"},
+           Case{"file 0 8192\nopen 0\nread 0 0 0\n", "line 3:",
+                "must be > 0"},
+           Case{"file 0 8192\nwrite 0 4097 4096\n", "line 2:",
+                "exceeds file size 8192"}}) {
+    const std::string msg = parse_error(c.body);
+    EXPECT_NE(msg.find(c.line), std::string::npos) << msg;
+    EXPECT_NE(msg.find(c.what), std::string::npos) << msg;
+  }
+}
+
+TEST(TextIo, AcceptsExtentsThatEndAtTheEndOfTheFile) {
+  std::istringstream in(
+      "file 0 8192\nread 0 4096 4096\n"
+      "file 1 8589934592\nwrite 1 4294967296 4294967295\n");
+  const Trace t = load_text_trace(in);
+  ASSERT_EQ(t.records.size(), 2u);
+  EXPECT_EQ(t.records[0].offset, 4096u);
+  EXPECT_EQ(t.records[1].size, 4294967295u);
 }
 
 TEST(TextIo, SparseFileIdsAreRemappedDense) {
