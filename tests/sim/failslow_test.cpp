@@ -245,7 +245,9 @@ TEST(FailSlowCluster, AdmitMigrationRejectsQuarantinedDestinations) {
             cluster::Cluster::MigrationAdmit::kDestinationQuarantined);
   // healthy_destination respects the quarantine too.
   std::optional<OsdId> next = c.healthy_destination(oid);
-  if (next.has_value()) EXPECT_NE(*next, *dst);
+  if (next.has_value()) {
+    EXPECT_NE(*next, *dst);
+  }
 
   c.set_quarantined(*dst, false);
   EXPECT_EQ(c.quarantined_count(), 0u);
