@@ -16,6 +16,12 @@
 # (CMakePresets.json).  Any failure aborts.
 #
 #   tools/check.sh [--fast]   # --fast skips the sanitizer configs
+#   tools/check.sh --smoke <name> [build_dir]
+#
+# --smoke runs one smoke stage against an existing build (default: build)
+# and nothing else; <name> is perfbench, scale, openloop, fault,
+# determinism or parallelism.  CI calls the smokes this way, so each is
+# defined once.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,10 +46,11 @@ perfbench_smoke() {
 # it trips if streaming replay ever silently falls back to materialising
 # the trace, while staying deaf to allocator noise.
 scale_smoke() {
-  echo "== scale smoke (perf_scale --quick) =="
+  local build_dir="${1:-build}"
+  echo "== scale smoke (perf_scale --quick, $build_dir) =="
   local out
   out=$(mktemp)
-  ./build/bench/perf_scale --quick --out="$out" >/dev/null
+  "$build_dir/bench/perf_scale" --quick --out="$out" >/dev/null
   python3 - "$out" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -72,7 +79,8 @@ EOF
   # so it may hold the trace once (completed_ops records of 24 bytes) above
   # the streaming footprint, with a quarter of slack, but not the second
   # copy per-client record vectors would add.
-  ./build/bench/perf_scale --scales=0.5 --repeat=1 --out="$out" >/dev/null
+  "$build_dir/bench/perf_scale" --scales=0.5 --repeat=1 --out="$out" \
+      >/dev/null
   python3 - "$out" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -321,6 +329,21 @@ run_preset() {
   echo "== test ($preset) =="
   ctest --preset "$preset"
 }
+
+if [[ "${1:-}" == "--smoke" ]]; then
+  case "${2:-}" in
+    perfbench | scale | openloop | fault | determinism | parallelism)
+      "${2}_smoke" "${3:-build}"
+      exit 0
+      ;;
+    *)
+      echo "usage: tools/check.sh --smoke" \
+          "perfbench|scale|openloop|fault|determinism|parallelism" \
+          "[build_dir]" >&2
+      exit 2
+      ;;
+  esac
+fi
 
 echo "== docs =="
 tools/check_docs.sh
