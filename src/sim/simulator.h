@@ -13,9 +13,9 @@
 //    flash simulator's device time, which includes GC stalls.
 //  * The data mover executes a migration plan on `mover_concurrency`
 //    parallel lanes; its chunked reads/writes share the OSD queues with
-//    foreground traffic.  Policies that move hot data (HDF, CMT) block
-//    foreground requests to in-flight objects -- the Fig. 7 spike;
-//    CDF only competes for bandwidth.
+//    foreground traffic.  HDF blocks foreground requests to an object
+//    while its own copy is in flight -- the Fig. 7 spike; CDF and CMT
+//    (which forwards, as Sorrento does) only compete for bandwidth.
 //  * An epoch tick advances object-temperature decay every simulated
 //    minute and, in monitor mode, evaluates the wear-imbalance trigger.
 //
