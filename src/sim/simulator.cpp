@@ -79,8 +79,8 @@ void SimConfig::validate(std::uint32_t num_osds) const {
     throw std::invalid_argument(
         "SimConfig: fail_osd is outside the cluster");
   }
-  // Written so that NaN fails it too: a NaN fraction would fail the OSD at
-  // t = 0, and one above 1 would never fail it.
+  // Negated so that NaN is rejected too: a NaN fraction would fail the OSD
+  // at t = 0, and one above 1 would never fail it.
   if (fail_osd >= 0 && !(fail_at_fraction >= 0.0 && fail_at_fraction <= 1.0)) {
     throw std::invalid_argument(
         "SimConfig: fail_at_fraction must be in [0, 1]");
