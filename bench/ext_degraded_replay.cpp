@@ -18,11 +18,10 @@ int main(int argc, char** argv) {
                "mean_rt(ms)", "degraded_reads", "lost_writes"});
   for (const char* trace : {"home02", "lair62"}) {
     std::vector<edm::sim::ExperimentConfig> cells;
-    for (int fail : {-1, 0}) {  // healthy, then fail OSD 0 at midpoint
+    for (bool fail : {false, true}) {  // healthy, then OSD 0 at midpoint
       auto cfg = edm::bench::cell(trace, edm::core::PolicyKind::kNone, 16,
                                   args.scale);
-      cfg.sim.fail_osd = fail;
-      cfg.sim.fail_at_fraction = 0.5;
+      if (fail) cfg.sim.faults.fail_at_fraction(0, 0.5);
       cells.push_back(cfg);
     }
     const auto results = edm::bench::run_cells(cells, args, "ext_degraded_replay");

@@ -31,19 +31,11 @@ void FlashConfig::validate() const {
   if (num_blocks == 0) fail("num_blocks must be > 0");
   if (op_ratio < 0.0 || op_ratio >= 1.0) fail("op_ratio must be in [0, 1)");
   if (gc_low_water < 2) fail("gc_low_water must be >= 2");
-  if (num_channels == 0) fail("num_channels must be > 0");
   if (geometry.channels == 0) fail("geometry.channels must be > 0");
   if (geometry.dies_per_channel == 0) {
     fail("geometry.dies_per_channel must be > 0");
   }
   if (geometry.planes_per_die == 0) fail("geometry.planes_per_die must be > 0");
-  if (parallel_timing() && num_channels > 1) {
-    // The legacy overlap knob and the bus-modelled geometry answer the same
-    // question two incompatible ways; combining them would double-count
-    // transfer parallelism.
-    fail("num_channels > 1 cannot be combined with a parallel geometry "
-         "(use geometry.channels instead)");
-  }
   const std::uint32_t domains = allocation_domains();
   if (domains > 1) {
     // Every LUN-level domain needs its own log head, GC stream head and

@@ -56,16 +56,6 @@ struct FlashConfig {
   SimDuration page_write_us = 200;
   SimDuration block_erase_us = 2000;
 
-  /// Independent flash channels: a multi-page transfer overlaps across
-  /// channels, so an N-page range takes ceil(N/channels) page times of
-  /// wall clock (GC stalls stay serial -- the FTL blocks).  1 = the
-  /// paper's single-stream timing.
-  ///
-  /// This is the *legacy* overlap knob (digest-pinned semantics); it is
-  /// mutually exclusive with the parallel `geometry` below, which models
-  /// channels as shared buses instead of free N-way overlap.
-  std::uint32_t num_channels = 1;
-
   /// Internal-parallelism geometry (channels x dies x planes).  The flat
   /// default (1x1x1 with zero bus delays) is byte-identical to the paper's
   /// serial model; any larger geometry -- or a non-zero bus delay --

@@ -129,7 +129,7 @@ SimDuration Ssd::read_range(Lpn first, std::uint32_t pages) {
   const SimDuration total =
       static_cast<SimDuration>(config_.page_read_us) * pages;
   stats_.busy_time_us += total;
-  return channel_adjusted(total, pages, config_.page_read_us);
+  return total;
 }
 
 SimDuration Ssd::write_range(Lpn first, std::uint32_t pages) {
@@ -150,7 +150,7 @@ SimDuration Ssd::write_range(Lpn first, std::uint32_t pages) {
     const SimDuration write_us =
         static_cast<SimDuration>(config_.page_write_us) * pages;
     stats_.busy_time_us += write_us;
-    return channel_adjusted(gc_total + write_us, pages, config_.page_write_us);
+    return gc_total + write_us;
   }
   // Equivalent to `pages` calls of write(), with two loop-level savings:
   // the GC low-water check is hoisted over stretches the free pool provably
@@ -191,20 +191,7 @@ SimDuration Ssd::write_range(Lpn first, std::uint32_t pages) {
   const SimDuration write_us =
       static_cast<SimDuration>(config_.page_write_us) * pages;
   stats_.busy_time_us += write_us;
-  return channel_adjusted(gc_total + write_us, pages, config_.page_write_us);
-}
-
-SimDuration Ssd::channel_adjusted(SimDuration serial_total,
-                                  std::uint32_t pages,
-                                  SimDuration per_page) const {
-  if (config_.num_channels <= 1 || pages <= 1) return serial_total;
-  // Replace the serial transfer component with the channel-parallel wall
-  // time; GC stalls (included in serial_total) remain serial.
-  const std::uint32_t rounds =
-      (pages + config_.num_channels - 1) / config_.num_channels;
-  const SimDuration serial_transfer = per_page * pages;
-  const SimDuration parallel_transfer = per_page * rounds;
-  return serial_total - serial_transfer + parallel_transfer;
+  return gc_total + write_us;
 }
 
 SimTime Ssd::read_page_at(SimTime t, std::uint32_t lun) {

@@ -56,9 +56,8 @@ class Ssd {
   /// operation `pages` times (same GC trigger points, same mapping state,
   /// same stats) but with the bookkeeping batched: reads fold into pure
   /// arithmetic, and writes hoist the GC low-water check over stretches the
-  /// free pool provably covers (docs/internals/flash.md).  Multi-channel
-  /// configs overlap the transfer component across channels; GC stalls stay
-  /// serial.
+  /// free pool provably covers (docs/internals/flash.md).  The returned
+  /// duration is the serial sum of the per-page durations.
   SimDuration read_range(Lpn first, std::uint32_t pages);
   SimDuration write_range(Lpn first, std::uint32_t pages);
   SimDuration trim_range(Lpn first, std::uint32_t pages);
@@ -180,11 +179,6 @@ class Ssd {
   /// Victim choice in domain `dom` under the configured policy; -1 when no
   /// candidate.  Returns a *global* block id.
   std::int64_t pick_victim(std::uint32_t dom);
-
-  /// Converts a serial per-page duration sum into the channel-parallel
-  /// wall-clock time for an N-page transfer (GC components stay serial).
-  SimDuration channel_adjusted(SimDuration serial_total, std::uint32_t pages,
-                               SimDuration per_page) const;
 
   /// Invalidates the physical page currently mapped to `lpn`, if any.
   void invalidate(Lpn lpn);

@@ -14,11 +14,19 @@ constexpr std::uint64_t kStallStreamTag = 0x57A11ED0ull;
 
 void FaultPlan::validate(std::uint32_t num_osds) const {
   SimTime prev = 0;
-  auto check_rate = [](double rate, const std::string& what) {
-    if (rate < 0.0 || rate > 1.0) {
+  // Negated so that NaN is rejected too.
+  auto check_unit = [](double value, const std::string& what) {
+    if (!(value >= 0.0 && value <= 1.0)) {
       throw std::invalid_argument("FaultPlan: " + what +
                                   " must be in [0, 1], got " +
-                                  std::to_string(rate));
+                                  std::to_string(value));
+    }
+  };
+  auto check_osd = [num_osds](OsdId osd, const std::string& what) {
+    if (osd >= num_osds) {
+      throw std::invalid_argument(
+          "FaultPlan: " + what + " targets OSD " + std::to_string(osd) +
+          " but the cluster has " + std::to_string(num_osds) + " OSDs");
     }
   };
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -30,12 +38,7 @@ void FaultPlan::validate(std::uint32_t num_osds) const {
           " precedes t=" + std::to_string(prev) + ")");
     }
     prev = e.at;
-    if (e.osd >= num_osds) {
-      throw std::invalid_argument(
-          "FaultPlan: event " + std::to_string(i) + " targets OSD " +
-          std::to_string(e.osd) + " but the cluster has " +
-          std::to_string(num_osds) + " OSDs");
-    }
+    check_osd(e.osd, "event " + std::to_string(i));
     if (e.kind == FaultEvent::Kind::kSlowdown) {
       if (e.factor < 1.0) {
         throw std::invalid_argument(
@@ -43,13 +46,27 @@ void FaultPlan::validate(std::uint32_t num_osds) const {
             " has factor " + std::to_string(e.factor) +
             " but fail-slow factors must be >= 1 (1 = nominal speed)");
       }
-      check_rate(e.stall_rate,
+      check_unit(e.stall_rate,
                  "slowdown event " + std::to_string(i) + " stall_rate");
     }
   }
-  check_rate(transient_error_rate, "transient_error_rate");
+  // A fraction above 1 would never fire, and a NaN one names no record.
+  double prev_fraction = 0.0;
+  for (std::size_t i = 0; i < fraction_failures.size(); ++i) {
+    const FractionFailure& f = fraction_failures[i];
+    const std::string what = "fail_at_fraction " + std::to_string(i);
+    check_unit(f.fraction, what);
+    check_osd(f.osd, what);
+    if (f.fraction < prev_fraction) {
+      throw std::invalid_argument("FaultPlan: " + what +
+                                  " follows a larger fraction (fraction "
+                                  "failures must be sorted by fraction)");
+    }
+    prev_fraction = f.fraction;
+  }
+  check_unit(transient_error_rate, "transient_error_rate");
   for (std::size_t i = 0; i < per_osd_error_rates.size(); ++i) {
-    check_rate(per_osd_error_rates[i],
+    check_unit(per_osd_error_rates[i],
                "per_osd_error_rates[" + std::to_string(i) + "]");
   }
   if (per_osd_error_rates.size() > num_osds) {

@@ -1,10 +1,12 @@
 // Deterministic fault injection for the discrete-event replay.
 //
-// A FaultPlan holds three ingredients:
+// A FaultPlan holds four ingredients:
 //  * scheduled whole-device events -- "OSD i dies at simulated time t",
 //    "start rebuilding OSD i at time t" -- consumed by the simulator as
 //    first-class events, so device death interleaves with queued requests
 //    and in-flight migrations instead of only between replays;
+//  * fraction failures -- "OSD i dies once a fraction f of the records
+//    has been issued" -- fired by the simulator's progress hook;
 //  * scheduled *fail-slow* events -- "OSD i slows down by factor f at time
 //    t" / "OSD i recovers at time t" -- modelling gray failures (GC
 //    storms, wear-induced retries, firmware stalls) where the device keeps
@@ -53,9 +55,20 @@ struct FaultEvent {
   SimDuration stall_us = 0;
 };
 
+/// A device failure placed by replay progress: `osd` fails when the
+/// simulator issues record ceil(fraction x total records), where the total
+/// counts closed-loop records or open-loop arrivals.
+struct FractionFailure {
+  double fraction = 0.5;
+  OsdId osd = 0;
+};
+
 struct FaultPlan {
   /// Scheduled events, must be sorted by time (ties keep list order).
   std::vector<FaultEvent> events;
+
+  /// Fraction failures, must be sorted by fraction (ties keep list order).
+  std::vector<FractionFailure> fraction_failures;
 
   /// Per-sub-request transient error probability applied to every OSD
   /// without an explicit per-device rate below.
@@ -70,7 +83,7 @@ struct FaultPlan {
   std::uint64_t seed = 0x0DDFA117;
 
   bool empty() const {
-    if (!events.empty()) return false;
+    if (!events.empty() || !fraction_failures.empty()) return false;
     if (transient_error_rate > 0.0) return false;
     for (double r : per_osd_error_rates) {
       if (r > 0.0) return false;
@@ -103,10 +116,15 @@ struct FaultPlan {
     events.push_back({at, osd, FaultEvent::Kind::kRecover});
     return *this;
   }
+  /// Fails `osd` once `fraction` (in [0, 1]) of the records is issued.
+  FaultPlan& fail_at_fraction(OsdId osd, double fraction) {
+    fraction_failures.push_back({fraction, osd});
+    return *this;
+  }
 
-  /// Rejects malformed plans with distinct messages: unsorted event times,
-  /// out-of-range device ids, error/stall rates outside [0, 1], slowdown
-  /// factors below 1.
+  /// Rejects malformed plans with distinct messages: unsorted event times
+  /// or fractions, out-of-range device ids, fractions and error/stall
+  /// rates outside [0, 1] (NaN included), slowdown factors below 1.
   void validate(std::uint32_t num_osds) const;
 };
 

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -124,16 +125,8 @@ struct SimConfig {
   /// fixed sigma = 0.28.
   bool adaptive_sigma = false;
 
-  /// Legacy failure injection: fail this OSD when `fail_at_fraction` of
-  /// the records have been issued (-1 = no injection).  Routed through the
-  /// same degraded-mode machinery as `faults` below; prefer a FaultPlan
-  /// for anything beyond a single fraction-triggered failure.
-  std::int32_t fail_osd = -1;
-  double fail_at_fraction = 0.5;
-
-  /// Scheduled fail/rebuild/fail-slow events + seeded transient I/O
-  /// errors, consumed by the event loop as first-class events (see
-  /// fault_injector.h).
+  /// Scheduled fail/rebuild/fail-slow events, fraction failures and seeded
+  /// transient I/O errors (see fault_injector.h).
   FaultPlan faults;
 
   /// Online fail-slow detection (EWMA latency scoring against the fleet
@@ -317,6 +310,10 @@ class Simulator {
 
   // --- client side ---
   void fill_client_window(std::uint16_t client_id, SimTime now);
+  /// Fires the progress hooks due at issued_records_, in order.  Each is
+  /// marked fired before it acts: apply_fail drains the dead OSD's queue,
+  /// which can complete ops and so re-enter the issue path.
+  void on_progress(SimTime now);
   std::uint32_t alloc_op(std::uint16_t client_id, SimTime now);
   void release_op(std::uint32_t op_id);
   /// Completes one client sub-request of an op; fires op completion when
@@ -344,7 +341,6 @@ class Simulator {
   bool stale(const SubRequest& req) const;
 
   // --- failure injection ---
-  void maybe_inject_failure(SimTime now);
   void schedule_next_fault();
   void on_fault_event(SimTime now);
   void apply_fail(OsdId id, SimTime now);
@@ -357,7 +353,6 @@ class Simulator {
   void on_retry_resume(std::uint64_t slot, SimTime now);
 
   // --- migration ---
-  void maybe_trigger_midpoint(SimTime now);
   void start_migration(SimTime now, bool force);
   void advance_lane(std::uint16_t lane_id, SimTime now);
   void issue_mover_chunk(std::uint16_t lane_id, SimTime now);
@@ -428,7 +423,6 @@ class Simulator {
   std::unique_ptr<trace::TraceCursor> owned_cursor_;  // over a Trace
   trace::TraceCursor* cursor_;       // closed-loop replay (else null)
   workload::OpenLoopSource* arrivals_;  // open-loop mode (else null)
-  std::uint64_t total_records_ = 0;  // for midpoint / fail-fraction hooks
   core::MigrationPolicy* policy_;
 
   EventQueue events_;
@@ -463,9 +457,20 @@ class Simulator {
   std::unordered_map<ObjectId, std::vector<SubRequest>> parked_;
 
   std::uint64_t issued_records_ = 0;
+  /// One-shot actions due when issued_records_ reaches `at` (fixed at
+  /// construction): the forced midpoint shuffle and the plan's fraction
+  /// failures, sorted by `at` with the midpoint first on a tie.
+  struct ProgressHook {
+    std::uint64_t at = 0;
+    bool midpoint = false;  // else fail `osd`
+    OsdId osd = 0;
+  };
+  std::vector<ProgressHook> progress_hooks_;
+  std::size_t next_hook_ = 0;  // first hook not yet fired
+  /// Its `at`, or the maximum once all have fired.
+  std::uint64_t next_hook_at_ = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t completed_ops_ = 0;
   std::uint32_t active_clients_ = 0;
-  bool midpoint_fired_ = false;
   std::uint32_t epochs_since_migration_ = 0;
   SimTime last_completion_ = 0;
   bool ran_ = false;
@@ -484,7 +489,6 @@ class Simulator {
   MigrationMetrics migration_;
   DegradedMetrics degraded_;
   FaultMetrics faults_;
-  bool failure_injected_ = false;
 
   // Fault-injection state.
   std::unique_ptr<FaultInjector> injector_;

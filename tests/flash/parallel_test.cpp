@@ -54,12 +54,6 @@ TEST(FlashParallel, ValidateRejectsBadGeometry) {
   cfg = parallel_config(1, 1, 0);
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 
-  // The legacy free-overlap knob and the bus-modelled geometry are
-  // mutually exclusive.
-  cfg = parallel_config(2, 1, 1);
-  cfg.num_channels = 4;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-
   // Too many domains for the block count: 32 LUNs over 64 blocks leaves
   // two blocks per domain, below the per-domain floor.
   cfg = parallel_config(8, 2, 2);

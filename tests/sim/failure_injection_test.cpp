@@ -28,12 +28,14 @@ struct Rig {
     cluster->reset_flash_stats();
   }
 
+  /// Replays with OSD `fail_osd` failing at fraction `at` (-1 = none).
   RunResult run(std::int32_t fail_osd, double at = 0.5) {
     SimConfig cfg;
     cfg.num_clients = 4;
     cfg.trigger = MigrationTrigger::kNone;
-    cfg.fail_osd = fail_osd;
-    cfg.fail_at_fraction = at;
+    if (fail_osd >= 0) {
+      cfg.faults.fail_at_fraction(static_cast<OsdId>(fail_osd), at);
+    }
     Simulator sim(cfg, *cluster, trace, nullptr);
     return sim.run();
   }
@@ -96,12 +98,10 @@ TEST(FailureInjection, FractionOutsideTheUnitIntervalIsRejected) {
           << e.what();
     }
   }
-  // Both ends of [0, 1] fail the OSD; with no fail_osd the fraction is inert.
+  // Both ends of [0, 1] fail the OSD.
   EXPECT_EQ(rig.run(1, 0.0).degraded.failed_osd, 1);
   Rig last;
   EXPECT_EQ(last.run(1, 1.0).degraded.failed_osd, 1);
-  Rig off;
-  EXPECT_EQ(off.run(-1, 1.5).degraded.failed_osd, -1);
 }
 
 TEST(FailureInjection, MigrationAvoidsTheDeadDevice) {
@@ -112,8 +112,7 @@ TEST(FailureInjection, MigrationAvoidsTheDeadDevice) {
   SimConfig cfg;
   cfg.num_clients = 4;
   cfg.trigger = MigrationTrigger::kForcedMidpoint;
-  cfg.fail_osd = 1;
-  cfg.fail_at_fraction = 0.25;  // dead before the shuffle
+  cfg.faults.fail_at_fraction(1, 0.25);  // dead before the shuffle
   Simulator sim(cfg, *rig.cluster, rig.trace, policy.get());
   const auto r = sim.run();
   EXPECT_EQ(r.completed_ops, rig.trace.records.size());

@@ -21,6 +21,10 @@ TEST(FaultPlan, EmptyDetection) {
   scheduled.fail(0, 1000);
   EXPECT_FALSE(scheduled.empty());
 
+  FaultPlan fraction;
+  fraction.fail_at_fraction(0, 0.5);
+  EXPECT_FALSE(fraction.empty());
+
   FaultPlan per_osd;
   per_osd.per_osd_error_rates = {0.0, 0.0};
   EXPECT_TRUE(per_osd.empty());
@@ -32,6 +36,10 @@ TEST(FaultPlan, RejectsUnsortedEvents) {
   FaultPlan plan;
   plan.fail(0, 2000).rebuild(0, 1000);  // out of order
   EXPECT_THROW(plan.validate(4), std::invalid_argument);
+
+  FaultPlan fractions;
+  fractions.fail_at_fraction(0, 0.5).fail_at_fraction(1, 0.25);
+  EXPECT_THROW(fractions.validate(4), std::invalid_argument);
 }
 
 TEST(FaultPlan, RejectsOutOfRangeOsd) {
@@ -39,6 +47,11 @@ TEST(FaultPlan, RejectsOutOfRangeOsd) {
   plan.fail(7, 1000);
   EXPECT_THROW(plan.validate(4), std::invalid_argument);
   EXPECT_NO_THROW(plan.validate(8));
+
+  FaultPlan fraction;
+  fraction.fail_at_fraction(7, 0.5);
+  EXPECT_THROW(fraction.validate(4), std::invalid_argument);
+  EXPECT_NO_THROW(fraction.validate(8));
 }
 
 TEST(FaultPlan, RejectsErrorRatesOutsideUnitInterval) {
@@ -65,6 +78,7 @@ TEST(FaultPlan, RejectsMoreRatesThanDevices) {
 TEST(FaultPlan, SortedEventsAccepted) {
   FaultPlan plan;
   plan.fail(1, 1000).fail(2, 1000).rebuild(1, 5000);  // tie at t=1000 is ok
+  plan.fail_at_fraction(1, 0.25).fail_at_fraction(2, 0.25);
   EXPECT_NO_THROW(plan.validate(4));
 }
 

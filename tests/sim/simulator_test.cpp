@@ -69,16 +69,15 @@ TEST(Simulator, MaterialisedReplayWithEmptyLanesCompletesEveryRecord) {
   EXPECT_EQ(r.completed_ops, h.trace.records.size());
 }
 
-// The legacy fail_osd hook fires inside fill_client_window and resolves
-// the dead device's queued requests there.  A streaming replay and an
-// in-place one of the same trace stay identical across it.
+// A fraction failure fires from fill_client_window's progress hook and
+// resolves the dead device's queued requests there.  A streaming replay and
+// an in-place one of the same trace stay identical across it.
 TEST(Simulator, StreamingMatchesMaterialisedAcrossLegacyFailure) {
   Harness h1;
   Harness h2;
   SimConfig cfg = h1.sim_config();
   cfg.trigger = MigrationTrigger::kNone;
-  cfg.fail_osd = 1;
-  cfg.fail_at_fraction = 0.5;
+  cfg.faults.fail_at_fraction(1, 0.5);
   const RunResult a = Simulator(cfg, *h1.cluster, h1.trace, nullptr).run();
   trace::TraceCursor cursor(h2.profile, cfg.num_clients);
   const RunResult b = Simulator(cfg, *h2.cluster, cursor, nullptr).run();

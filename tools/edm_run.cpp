@@ -19,7 +19,6 @@
 //     --lambda=<f>          wear-imbalance threshold (default 0.15)
 //     --sigma=<f>           wear-model impact factor (default 0.28)
 //     --utilization=<f>     max post-population utilization (default 0.76)
-//     --channels=<n>        flash channels (default 1)
 //     --flash-geometry=<g>  flat | sata | nvme | CxDxP internal-parallelism
 //                           geometry (channels x dies x planes; the named
 //                           presets also set bus delays)
@@ -29,8 +28,9 @@
 //                           parallel-geometry OSD (flat devices stay serial)
 //     --separate-gc         enable the hot/cold-separating GC stream
 //     --adaptive            online sigma calibration (monitor runs)
-//     --fail-osd=<id>       inject an OSD failure mid-replay
-//     --fail-at-fraction=<f> failure point as a record fraction (default 0.5)
+//     --fail-osd=<id>       fail OSD id once a fraction of the records is
+//                           issued (a FaultPlan fraction failure)
+//     --fail-at-fraction=<f> that fraction (default 0.5)
 //     --fail-at=<o:t>       schedule: fail OSD o at t simulated seconds
 //     --rebuild-at=<o:t>    schedule: start rebuilding OSD o at t seconds
 //     --slow-at=<o:t:f[:r:ms]> schedule: OSD o turns fail-slow at t seconds
@@ -95,7 +95,6 @@ struct Options {
   double lambda = 0.15;
   double sigma = 0.28;
   double utilization = 0.76;
-  std::uint32_t channels = 1;
   std::string flash_geometry;
   std::string bus_delays;
   std::uint32_t osd_qd = 1;
@@ -145,7 +144,6 @@ edm::util::FlagParser make_parser(Options& opt) {
   parser.add_double("--sigma", &opt.sigma, "wear-model impact factor");
   parser.add_double("--utilization", &opt.utilization,
                     "max post-population utilization");
-  parser.add_uint32("--channels", &opt.channels, "flash channels");
   parser.add_string("--flash-geometry", &opt.flash_geometry,
                     "flat | sata | nvme | CxDxP (channels x dies x planes)");
   parser.add_string("--bus-delays", &opt.bus_delays,
@@ -286,11 +284,16 @@ void add_fault_event(edm::sim::FaultPlan& plan, const std::string& flag,
   }
 }
 
-/// Builds the FaultPlan from the command-line event specs.  Events are
-/// sorted by time (stable, so same-time specs keep command-line order)
-/// because FaultPlan::validate rejects unsorted schedules.
+/// Builds the FaultPlan from --fail-osd/--fail-at-fraction and the
+/// command-line event specs.  Events are sorted by time (stable, so
+/// same-time specs keep command-line order) because FaultPlan::validate
+/// rejects unsorted schedules.
 edm::sim::FaultPlan fault_plan_from(const Options& opt) {
   edm::sim::FaultPlan plan;
+  if (opt.fail_osd >= 0) {
+    plan.fail_at_fraction(static_cast<edm::OsdId>(opt.fail_osd),
+                          opt.fail_at_fraction);
+  }
   using Kind = edm::sim::FaultEvent::Kind;
   for (const auto& s : opt.fail_at) {
     add_fault_event(plan, "--fail-at", s, Kind::kFail, 2);
@@ -447,12 +450,9 @@ int main(int argc, char** argv) {
     cfg.policy_config.model =
         edm::core::WearModel(cfg.flash.pages_per_block, opt.sigma);
     cfg.target_max_utilization = opt.utilization;
-    cfg.flash.num_channels = opt.channels;
     apply_flash_geometry(cfg, opt);
     cfg.flash.separate_gc_stream = opt.separate_gc;
     cfg.sim.adaptive_sigma = opt.adaptive;
-    cfg.sim.fail_osd = opt.fail_osd;
-    cfg.sim.fail_at_fraction = opt.fail_at_fraction;
     cfg.sim.faults = fault_plan_from(opt);
     // Fail fast on a malformed plan, before the (expensive) cluster build;
     // the simulator re-validates as part of SimConfig::validate.
