@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -86,9 +87,14 @@ Trace load_text_trace(std::istream& is, const std::string& name) {
       rec.offset = offset;
       rec.size = static_cast<std::uint32_t>(size);
     }
-    unsigned client;
-    if (fields >> client) {
-      rec.client = static_cast<std::uint16_t>(client);
+    if (std::string client; fields >> client) {
+      // One decimal lane id, and nothing after it.
+      const char* end = client.data() + client.size();
+      const auto [ptr, ec] = std::from_chars(client.data(), end, rec.client);
+      if (std::string rest; ec != std::errc{} || ptr != end || fields >> rest) {
+        fail(line_no, "client must be one integer in [0, 65535], got '" +
+                          client + (rest.empty() ? "" : " " + rest) + "'");
+      }
     } else {
       // Round-robin lanes over runs of consecutive same-file records.
       if (rec.file != last_file) {

@@ -12,8 +12,9 @@
 // with <op> one of open/close/read/write (case-insensitive).  `file` lines
 // pre-declare the population (any access to an undeclared file id is an
 // error: the replay model pre-creates all files, paper SIV).  The optional
-// trailing client column assigns the record to a replay lane; it defaults
-// to round-robin over sessions of consecutive records per file.
+// trailing client column, an integer in [0, 65535], assigns the record to a
+// replay lane; it defaults to round-robin over sessions of consecutive
+// records per file.
 #pragma once
 
 #include <iosfwd>

@@ -21,18 +21,20 @@ write 0 0 4096 3
 read 0 4096 8192 3
 close 0 3
 read 1 0 4096
+write 1 0 4096 65535
 )");
   const Trace t = load_text_trace(in, "tiny");
   EXPECT_EQ(t.name, "tiny");
   ASSERT_EQ(t.files.size(), 2u);
   EXPECT_EQ(t.files[1].size_bytes, 131072u);
-  ASSERT_EQ(t.records.size(), 5u);
+  ASSERT_EQ(t.records.size(), 6u);
   EXPECT_EQ(t.records[0].op, OpType::kOpen);
   EXPECT_EQ(t.records[0].client, 3u);
   EXPECT_EQ(t.records[1].op, OpType::kWrite);
   EXPECT_EQ(t.records[1].size, 4096u);
   EXPECT_EQ(t.records[2].offset, 4096u);
   EXPECT_EQ(t.records[4].file, 1u);
+  EXPECT_EQ(t.records[5].client, 65535u);
 }
 
 TEST(TextIo, CaseInsensitiveKeywords) {
@@ -93,7 +95,16 @@ TEST(TextIo, RejectsBadExtentsNamingTheLine) {
            Case{"file 0 8192\nopen 0\nread 0 0 0\n", "line 3:",
                 "must be > 0"},
            Case{"file 0 8192\nwrite 0 4097 4096\n", "line 2:",
-                "exceeds file size 8192"}}) {
+                "exceeds file size 8192"},
+           // A client that is not one integer in [0, 65535] is neither
+           // wrapped onto another lane nor replaced by the automatic one.
+           Case{"file 0 8192\nread 0 0 4096 70000\n", "line 2:", "'70000'"},
+           Case{"file 0 8192\nread 0 0 4096 65536\n", "line 2:", "'65536'"},
+           Case{"file 0 8192\nopen 0 -1\n", "line 2:", "'-1'"},
+           Case{"file 0 8192\nopen 0\nread 0 0 4096 abc\n", "line 3:",
+                "'abc'"},
+           Case{"file 0 8192\nwrite 0 0 4096 3 junk\n", "line 2:",
+                "'3 junk'"}}) {
     const std::string msg = parse_error(c.body);
     EXPECT_NE(msg.find(c.line), std::string::npos) << msg;
     EXPECT_NE(msg.find(c.what), std::string::npos) << msg;
