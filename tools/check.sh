@@ -164,8 +164,9 @@ EOF
   rm -f "$out"
 }
 
-# Fault smoke: the fail-slow bench and the runner's health JSON, under
-# whichever build "$1" points at (the sanitizer build in the full check).
+# Fault smoke: the fail-slow bench, the runner's health JSON and the
+# --fail-osd/--fail-at-fraction translation, under whichever build "$1"
+# points at (the sanitizer build in the full check).
 # The replay is deterministic, so the detector-quality assertions hold at
 # any build type; the sanitizers are what this stage adds.
 fault_smoke() {
@@ -219,6 +220,31 @@ assert f["slowdown_events"] == 1, f["slowdown_events"]
 print(f"run smoke: edm-run-result/4, {d['health']['checks']} health "
       f"checks, {f['stalls_injected']} stalls, JSON shape ok")
 EOF
+  # --fail-osd/--fail-at-fraction become a FaultPlan fraction failure at
+  # the flag layer: the run must fail that OSD and read around it, and an
+  # OSD outside the cluster must be one line on stderr and exit status 1.
+  "$build_dir/tools/edm_run" --scale=0.01 --fail-osd=1 \
+      --fail-at-fraction=0.5 --json >"$out"
+  python3 - "$out" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    g = json.load(f)["degraded"]
+assert g["failed_osd"] == 1, f"failed_osd {g['failed_osd']}, expected 1"
+assert g["degraded_reads"] > 0, "no read met the failed OSD"
+print(f"fraction-failure smoke: OSD 1 failed at {g['failed_at_us']} us, "
+      f"{g['degraded_reads']} degraded reads")
+EOF
+  local status=0
+  "$build_dir/tools/edm_run" --scale=0.01 --fail-osd=99 >/dev/null \
+      2>"$out" || status=$?
+  if [[ $status -ne 1 || $(wc -l <"$out") -ne 1 ]]; then
+    echo "fault smoke: --fail-osd=99 exited $status with" \
+        "$(wc -l <"$out") stderr lines, expected 1 and 1" >&2
+    cat "$out" >&2
+    rm -f "$out"
+    return 1
+  fi
+  echo "fraction-failure smoke: --fail-osd=99 rejected: $(cat "$out")"
   rm -f "$out"
 }
 

@@ -3,7 +3,8 @@
 #
 #  1. every src/<subsystem> has a docs/internals page,
 #  2. every --flag registered in bench/, tools/, src/util, src/runner is
-#     documented in docs/MANUAL.md,
+#     documented in docs/MANUAL.md, and every flag row of the manual names
+#     a registered flag,
 #  3. every intra-repo markdown link in *.md resolves to a real file.
 #
 #   tools/check_docs.sh
@@ -74,6 +75,15 @@ for flag in $flags; do
   [[ "$flag" == "--help" ]] && continue  # synthesised by FlagParser
   grep -q -- "\`$flag" docs/MANUAL.md ||
     err "flag $flag is not documented in docs/MANUAL.md"
+done
+
+# The reverse: a table row whose first cell is a flag ("| `--flag...")
+# must name one that some binary registers, so a retired flag's row goes
+# with it.
+for flag in $(grep -oE '^\| *`--[a-z0-9-]+' docs/MANUAL.md |
+  sed 's/^| *`//' | sort -u); do
+  grep -qx -- "$flag" <<<"$flags" ||
+    err "docs/MANUAL.md documents $flag, which no binary registers"
 done
 
 # Belt and braces for the flash parallelism surface: every --flash-*
