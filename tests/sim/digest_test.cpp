@@ -239,6 +239,22 @@ TEST(Digest, HdfLair62GcStream) {
   EXPECT_GT(gc_page_moves, 0u);
 }
 
+TEST(Digest, CmtHome02MoverReplansAroundFailedDestination) {
+  // Eight OSDs in four groups leave a move no third group member to
+  // re-plan onto; sixteen give each group four.  OSD 4 dies on the midpoint shuffle's record: one in-flight move to it
+  // is aborted and re-planned, and one queued move to it is re-planned at
+  // admission.
+  ExperimentConfig cfg = base_cell("home02", core::PolicyKind::kCmt);
+  cfg.num_osds = 16;
+  cfg.sim.faults.fail_at_fraction(4, 0.5);
+
+  const RunResult result = run_experiment(cfg);
+  check_digest("home02_cmt_replan_failed_destination.json",
+               report_json(result));
+  EXPECT_EQ(result.degraded.failed_osd, 4);
+  EXPECT_GT(result.faults.migrations_replanned, 0u);
+}
+
 // --- Streaming-path digests -----------------------------------------
 //
 // The same cells replayed through run_experiment_streaming (TraceCursor
@@ -306,9 +322,10 @@ TEST(Digest, StreamingHdfHome02MidpointAndFractionFailure) {
 // --- Device-slot digests ---------------------------------------------
 //
 // The cells above all run flat devices under a closed loop without
-// health.  These three pin the OSD service path where it differs: a
+// health.  These pin the OSD service path where it differs: a
 // parallel-geometry device at depth > 1 (open loop, hedged reads and a
-// quarantine drain; then faults, retries and rebuild chunks), and a
+// quarantine drain; hedged reads that run out of retries or meet device
+// failures; then faults, retries and rebuild chunks), and a
 // parallel-geometry device at depth 1.
 
 flash::FlashConfig nvme_flash() {
@@ -319,10 +336,11 @@ flash::FlashConfig nvme_flash() {
   return flash;
 }
 
-TEST(Digest, OpenLoopFailSlowNvmeQd8) {
-  // perfbench's openloop-failslow shape (two Poisson tenants at half
-  // capacity, OSD 3 slowed 4x, health + mitigation) at a scale where the
-  // monitor flags OSD 3 in time to hedge reads and drain objects.
+/// perfbench's openloop-failslow shape (two Poisson tenants at half
+/// capacity on nvme OSDs at depth 8, health + mitigation) before any fault
+/// is scheduled.  At this scale the monitor flags a device slowed 4x at
+/// 1.6 s on its check at 2 s, in time to hedge reads and drain objects.
+ExperimentConfig failslow_openloop_cell() {
   ExperimentConfig cfg;
   cfg.scale = 0.08;
   cfg.policy = core::PolicyKind::kNone;
@@ -332,8 +350,6 @@ TEST(Digest, OpenLoopFailSlowNvmeQd8) {
   cfg.sim.health.enabled = true;
   cfg.sim.health.mitigate = true;
   cfg.sim.health.check_interval_us = 500 * 1000;
-  cfg.sim.faults.slow(3, static_cast<SimTime>(20e6 * cfg.scale), 4.0);
-  cfg.sim.faults.recover(3, static_cast<SimTime>(30e6 * cfg.scale));
   workload::TenantSpec home;
   home.profile = "home02";
   home.rate_ops_per_sec = 29400.0;
@@ -341,12 +357,57 @@ TEST(Digest, OpenLoopFailSlowNvmeQd8) {
   lair.profile = "lair62";
   lair.rate_ops_per_sec = 15275.0;
   cfg.open_loop.tenants = {home, lair};
+  return cfg;
+}
+
+constexpr SimTime kSlowOnsetUs = 1600 * 1000;  // 20 s x scale 0.08
+
+TEST(Digest, OpenLoopFailSlowNvmeQd8) {
+  // OSD 3 slowed 4x, recovering at 2.4 s.
+  ExperimentConfig cfg = failslow_openloop_cell();
+  cfg.sim.faults.slow(3, kSlowOnsetUs, 4.0);
+  cfg.sim.faults.recover(3, static_cast<SimTime>(30e6 * cfg.scale));
 
   const RunResult result = run_experiment(cfg);
   check_digest("openloop_failslow_nvme_qd8.json", report_json(result));
   EXPECT_EQ(result.health.flagged_osds, std::vector<std::uint32_t>{3});
   EXPECT_GT(result.health.hedged_reads, 0u);
   EXPECT_GT(result.health.drain_moved, 0u);
+}
+
+TEST(Digest, OpenLoopFailSlowHedgedPrimaryExhaustsRetries) {
+  // OSD 3 stays slow and every device errs on 10% of its sub-requests,
+  // with one retry allowed.  Hedged reads run out of retries on each side
+  // of the race: primaries the hedge has not resolved are abandoned and
+  // complete their op, primaries the hedge already resolved are absorbed,
+  // and lost peer reads stop the hedge from winning.
+  ExperimentConfig cfg = failslow_openloop_cell();
+  cfg.sim.faults.slow(3, kSlowOnsetUs, 4.0);
+  cfg.sim.faults.transient_error_rate = 0.1;
+  cfg.sim.retry.max_attempts = 2;
+
+  const RunResult result = run_experiment(cfg);
+  check_digest("openloop_failslow_hedge_retries.json", report_json(result));
+  EXPECT_EQ(result.health.flagged_osds, std::vector<std::uint32_t>{3});
+  EXPECT_GT(result.health.hedged_reads, 0u);
+  EXPECT_GT(result.faults.abandoned_requests, 0u);
+}
+
+TEST(Digest, OpenLoopFailSlowHedgedReadsMeetFailure) {
+  // OSDs 2 and 3 turn slow; the monitor flags OSD 3 and hedges its reads,
+  // some of whose peer reads queue on OSD 2.  Both devices die at 2.05 s:
+  // hedged primaries drained from OSD 3 (resolved by their hedge or not)
+  // and hedged peer reads drained from OSD 2 settle through the degraded
+  // path.
+  ExperimentConfig cfg = failslow_openloop_cell();
+  cfg.sim.faults.slow(2, kSlowOnsetUs, 4.0).slow(3, kSlowOnsetUs, 4.0);
+  cfg.sim.faults.fail(2, 2050 * 1000).fail(3, 2050 * 1000);
+
+  const RunResult result = run_experiment(cfg);
+  check_digest("openloop_failslow_hedge_failure.json", report_json(result));
+  EXPECT_EQ(result.faults.scheduled_failures, 2u);
+  EXPECT_GT(result.health.hedged_reads, 0u);
+  EXPECT_GT(result.faults.requeued_on_failure, 0u);
 }
 
 TEST(Digest, HdfDeasnaFaultsSataQd4) {
