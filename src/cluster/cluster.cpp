@@ -182,24 +182,18 @@ void Cluster::map_request(const trace::Record& record,
       continue;
     }
     // RAID-5 reconstruction: read the same stripe range from the file's
-    // k-1 other objects (every object stores one unit per stripe at the
-    // same object offset, so the page range is identical).
-    bool reconstructable = true;
+    // k-1 other objects.
     const std::size_t expansion_start = out.size();
-    for (std::uint32_t j = 0; j < placement_.objects_per_file(); ++j) {
-      if (j == io.object_index) continue;
-      const ObjectId peer = placement_.object_id(record.file, j);
-      const OsdId peer_osd = locate(peer);
-      if (osds_[peer_osd].failed()) {
-        reconstructable = false;
-        break;
-      }
-      OsdIo peer_io = out_io;
-      peer_io.oid = peer;
-      peer_io.osd = peer_osd;
-      peer_io.is_write = false;
-      out.push_back(peer_io);
-    }
+    const bool reconstructable =
+        for_each_sibling(oid, [&](ObjectId peer, OsdId peer_osd) {
+          if (osds_[peer_osd].failed()) return false;
+          OsdIo peer_io = out_io;
+          peer_io.oid = peer;
+          peer_io.osd = peer_osd;
+          peer_io.is_write = false;
+          out.push_back(peer_io);
+          return true;
+        });
     if (reconstructable) {
       ++degraded_reads_;
     } else {

@@ -140,6 +140,24 @@ class Cluster {
 
   std::uint32_t object_pages(ObjectId oid) const;
 
+  /// Walks the RAID-5 stripe siblings of `oid` -- the other k-1 objects of
+  /// its file, in index order -- calling visit(sibling, osd) with each
+  /// one's current OSD.  Every object stores one unit per stripe at the
+  /// same object offset, so a sibling's page range stands in for the
+  /// object's own.  Stops at the first visit that returns false and
+  /// returns false; true once every sibling was visited.
+  template <typename Visit>
+  bool for_each_sibling(ObjectId oid, Visit&& visit) const {
+    const FileId file = placement_.file_of(oid);
+    const std::uint32_t self = placement_.index_of(oid);
+    for (std::uint32_t j = 0; j < placement_.objects_per_file(); ++j) {
+      if (j == self) continue;
+      const ObjectId sibling = placement_.object_id(file, j);
+      if (!visit(sibling, locate(sibling))) return false;
+    }
+    return true;
+  }
+
   // --- File I/O mapping ---
   /// Resolves a file-level request into per-OSD page I/Os (appended).
   void map_request(const trace::Record& record, std::vector<OsdIo>& out) const;

@@ -52,15 +52,11 @@ Cluster::RebuildOutcome Cluster::prepare_object_rebuild(OsdId dead,
         "Cluster::prepare_object_rebuild: object " + std::to_string(oid) +
         " still has a migration in flight; abort it before rebuilding");
   }
-  const FileId file = placement_.file_of(oid);
-  const std::uint32_t index = placement_.index_of(oid);
-
   // Reconstruction needs every other member of the stripe set alive.
-  for (std::uint32_t j = 0; j < placement_.objects_per_file(); ++j) {
-    if (j == index) continue;
-    if (osds_[locate(placement_.object_id(file, j))].failed()) {
-      return RebuildOutcome::kUnrecoverable;
-    }
+  if (!for_each_sibling(oid, [this](ObjectId, OsdId at) {
+        return !osds_[at].failed();
+      })) {
+    return RebuildOutcome::kUnrecoverable;
   }
 
   // Destination: the least-utilized healthy peer in the dead device's
@@ -115,8 +111,6 @@ Cluster::RebuildStats Cluster::rebuild_osd(OsdId dead) {
   RebuildStats stats;
 
   for (const ObjectId oid : failed_objects(dead)) {
-    const FileId file = placement_.file_of(oid);
-    const std::uint32_t index = placement_.index_of(oid);
     const std::uint32_t pages = osds_[dead].object_pages(oid);
 
     OsdId dst = dead;
@@ -132,13 +126,11 @@ Cluster::RebuildStats Cluster::rebuild_osd(OsdId dead) {
     }
 
     // Read the k-1 surviving members, write the reconstructed object.
-    for (std::uint32_t j = 0; j < placement_.objects_per_file(); ++j) {
-      if (j == index) continue;
-      const ObjectId peer_oid = placement_.object_id(file, j);
-      Osd& peer_osd = osds_[locate(peer_oid)];
-      stats.device_time += peer_osd.read(peer_oid, 0, pages);
+    for_each_sibling(oid, [&](ObjectId peer, OsdId at) {
+      stats.device_time += osds_[at].read(peer, 0, pages);
       stats.peer_pages_read += pages;  // siblings share the object size
-    }
+      return true;
+    });
     stats.device_time += osds_[dst].write(oid, 0, pages);
     stats.pages_written += pages;
 

@@ -8,6 +8,21 @@
 
 namespace edm::core {
 
+namespace {
+/// Objects whose total temperature is below this many accessed pages *per
+/// object page* are "cold" candidates.  The threshold is size-relative: an
+/// absolute cutoff would never classify a large object as cold (a single
+/// stray read exceeds it), yet large cold objects are exactly what CDF
+/// wants to move ("objects with the largest size are first selected",
+/// SIII.B.5).
+constexpr double kColdThreshold = 0.5;
+
+/// Never migrate from a source below this utilization (paper: "we never
+/// migrate a cold object from a source device whose disk utilization is
+/// less than 50 percent").
+constexpr double kMinSourceUtilization = 0.50;
+}  // namespace
+
 MigrationPlan CdfPolicy::plan(const ClusterView& view, bool force) {
   MigrationPlan out;
   const WearMonitor monitor(cfg_.model, cfg_.lambda);
@@ -63,7 +78,7 @@ MigrationPlan CdfPolicy::plan(const ClusterView& view, bool force) {
       if (delta_u[j] >= 0.0) continue;
       const std::uint32_t dev = members[j];
       // Below the Eq. 3 knee utilization barely affects wear: skip.
-      if (view.devices[dev].utilization < cfg_.cdf_min_source_utilization) {
+      if (view.devices[dev].utilization < kMinSourceUtilization) {
         continue;
       }
       const double need_pages =
@@ -75,7 +90,7 @@ MigrationPlan CdfPolicy::plan(const ClusterView& view, bool force) {
       for (const ObjectView& o : view.objects[dev]) {
         const double per_page =
             o.total_temp / std::max<std::uint32_t>(1, o.pages);
-        if (per_page < cfg_.cdf_cold_threshold) candidates.push_back(&o);
+        if (per_page < kColdThreshold) candidates.push_back(&o);
       }
       std::sort(candidates.begin(), candidates.end(),
                 [](const ObjectView* a, const ObjectView* b) {

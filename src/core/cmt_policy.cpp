@@ -9,6 +9,15 @@
 
 namespace edm::core {
 
+namespace {
+/// Load-imbalance trigger threshold on the EWMA-latency load factor.
+constexpr double kTheta = 0.10;
+
+/// Storage-usage imbalance (within a group) that triggers the secondary
+/// capacity-balancing moves.
+constexpr double kUsageSpread = 0.045;
+}  // namespace
+
 MigrationPlan CmtPolicy::plan(const ClusterView& view, bool force) {
   MigrationPlan out;
 
@@ -27,7 +36,7 @@ MigrationPlan CmtPolicy::plan(const ClusterView& view, bool force) {
   if (s.mean <= 0.0) return out;
   // Trigger signal: relative overshoot of the hottest device's EWMA load.
   const double signal = (s.max - s.mean) / s.mean;
-  const bool imbalanced = signal > cfg_.cmt_theta;
+  const bool imbalanced = signal > kTheta;
   if (!force && !imbalanced) {
     note_plan(signal, 0);
     return out;
@@ -53,7 +62,7 @@ MigrationPlan CmtPolicy::plan(const ClusterView& view, bool force) {
     }
     if (!dests.empty()) {
       for (auto i : group) {
-        const double excess = load[i] - s.mean * (1.0 + cfg_.cmt_theta);
+        const double excess = load[i] - s.mean * (1.0 + kTheta);
         if (excess <= 0.0) continue;
         // Move the hottest objects (reads and writes undifferentiated)
         // until their temperature share covers the excess load fraction.
@@ -110,7 +119,7 @@ MigrationPlan CmtPolicy::plan(const ClusterView& view, bool force) {
     if (!have_lo) continue;
     const double spread =
         view.devices[hi].utilization - view.devices[lo].utilization;
-    if (hi != lo && spread > cfg_.cmt_usage_spread) {
+    if (hi != lo && spread > kUsageSpread) {
       // Move bulk objects until half the pairwise spread is closed,
       // preferring the colder half of the source's objects (Sorrento moves
       // whole segments but steers around the hottest ones).

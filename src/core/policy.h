@@ -31,26 +31,6 @@ struct PolicyConfig {
   /// Algorithm 1 parameters.
   BalanceParams balance{};
 
-  /// CDF: objects whose total temperature is below this many accessed
-  /// pages *per object page* are "cold" candidates.  The threshold is
-  /// size-relative: an absolute cutoff would never classify a large object
-  /// as cold (a single stray read exceeds it), yet large cold objects are
-  /// exactly what CDF wants to move ("objects with the largest size are
-  /// first selected", SIII.B.5).
-  double cdf_cold_threshold = 0.5;
-
-  /// CDF: never migrate from a source below this utilization (paper: "we
-  /// never migrate a cold object from a source device whose disk
-  /// utilization is less than 50 percent").
-  double cdf_min_source_utilization = 0.50;
-
-  /// CMT: load-imbalance trigger threshold on the EWMA-latency load factor.
-  double cmt_theta = 0.10;
-
-  /// CMT: storage-usage imbalance (within a group) that triggers its
-  /// secondary capacity-balancing moves.
-  double cmt_usage_spread = 0.045;
-
   /// Destinations may not be planned beyond this projected utilization.
   double dest_utilization_cap = 0.90;
 };

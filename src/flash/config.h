@@ -111,10 +111,6 @@ struct FlashConfig {
   enum class GcPolicy : std::uint8_t { kGreedy = 0, kCostBenefit = 1 };
   GcPolicy gc_policy = GcPolicy::kGreedy;
 
-  /// Candidates examined per cost-benefit selection (stride-sampled for
-  /// determinism).  Ignored under kGreedy.
-  std::uint32_t gc_sample_size = 64;
-
   std::uint64_t physical_pages() const {
     return static_cast<std::uint64_t>(num_blocks) * pages_per_block;
   }

@@ -10,6 +10,12 @@
 
 namespace edm::flash {
 
+namespace {
+/// Candidates examined per cost-benefit victim selection (stride-sampled
+/// for determinism).
+constexpr std::uint32_t kCostBenefitSampleSize = 64;
+}  // namespace
+
 Ssd::Ssd(FlashConfig config)
     : config_(config),
       // L2P entries are wide enough to hold any PPN plus the all-ones
@@ -366,7 +372,7 @@ std::int64_t Ssd::pick_victim(std::uint32_t dom_idx) {
   std::uint32_t examined = 0;
   const std::uint32_t total = blocks_in_domain(dom_idx);
   for (std::uint32_t step = 0;
-       step < total && examined < config_.gc_sample_size; ++step) {
+       step < total && examined < kCostBenefitSampleSize; ++step) {
     const std::uint32_t local = dom.scan_cursor;
     dom.scan_cursor = (dom.scan_cursor + 1) % total;
     if (!dom.victims.contains(local)) continue;

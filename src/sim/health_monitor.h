@@ -82,17 +82,6 @@ struct HealthConfig {
   /// completion wins).
   SimDuration hedge_deadline_us = 20 * 1000;
 
-  /// Mitigation: objects drained off a freshly quarantined OSD (hottest
-  /// first).  0 disables draining.
-  std::uint32_t drain_max_objects = 128;
-
-  /// Mitigation: at most this many devices quarantined at once.  Flags
-  /// beyond the cap still steer hedged reads but are not drained --
-  /// remediating every flag can cascade, because a drain shifts hot write
-  /// traffic (and its GC) onto destinations that then look slow in turn.
-  /// 0 disables quarantine-and-drain entirely (hedge-only mitigation).
-  std::uint32_t max_quarantined = 1;
-
   void validate() const;
 };
 

@@ -12,8 +12,7 @@ Recorder::Recorder(TelemetryConfig config) : cfg_(config) {
     metrics_ = std::make_unique<Registry>();
   }
   if (cfg_.sample_interval_us > 0) {
-    sampler_ = std::make_unique<Sampler>(cfg_.sample_interval_us,
-                                         cfg_.sample_rss);
+    sampler_ = std::make_unique<Sampler>(cfg_.sample_interval_us);
   }
 }
 

@@ -30,21 +30,14 @@ struct OsdSample {
 struct SampleRow {
   SimTime t = 0;
   std::uint64_t inflight_migration_bytes = 0;  // mover lanes, remaining
-  std::uint64_t peak_rss_bytes = 0;  // process VmHWM (only when sampled)
   std::vector<OsdSample> osds;
 };
 
 class Sampler {
  public:
-  /// `rss_column` opts the process peak-RSS column into the exports.  It is
-  /// host-machine state, not DES state, so it is off by default to keep the
-  /// deterministic streams byte-identical run to run.
-  explicit Sampler(SimDuration interval_us, bool rss_column = false);
+  explicit Sampler(SimDuration interval_us);
 
   SimDuration interval_us() const { return interval_us_; }
-
-  /// Whether rows should carry (and exports emit) the peak-RSS column.
-  bool rss_column() const { return rss_column_; }
 
   /// Appends a row; the caller fills it in place.
   SampleRow& add_row(SimTime t);
@@ -60,7 +53,6 @@ class Sampler {
 
  private:
   SimDuration interval_us_;
-  bool rss_column_ = false;
   std::vector<SampleRow> rows_;
 };
 

@@ -42,12 +42,6 @@ struct TelemetryConfig {
   /// Time-series sampling interval on the DES clock (0 = sampler off).
   SimDuration sample_interval_us = 0;
 
-  /// Adds the process peak-RSS (VmHWM) column to sampler exports and, with
-  /// metrics on, a final process.peak_rss_bytes gauge.  Host-machine state
-  /// -- NOT deterministic -- so it is excluded from digest comparisons and
-  /// off by default.
-  bool sample_rss = false;
-
   bool any() const {
     return trace_enabled || metrics_enabled || sample_interval_us > 0;
   }
