@@ -20,6 +20,7 @@
 // thread during startup.  Target pointers must outlive parse().
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -112,6 +113,12 @@ class FlagParser {
   /// Set after Result::kError: which argument failed and why.
   const std::string& error() const { return error_; }
 
+  /// Whether `name` (with its leading "--") was parsed from the command
+  /// line, as opposed to keeping its default.
+  bool seen(const std::string& name) const {
+    return std::find(seen_.begin(), seen_.end(), name) != seen_.end();
+  }
+
   void print_usage(std::ostream& os, const char* prog) const {
     os << "usage: " << prog;
     for (const Flag& f : flags_) {
@@ -144,6 +151,7 @@ class FlagParser {
     const std::string name = arg.substr(0, eq);
     for (const Flag& f : flags_) {
       if (name != f.name) continue;
+      seen_.push_back(f.name);
       if (f.takes_value) {
         if (eq == std::string::npos) {
           error_ = "missing value for " + f.name + " (expected " + f.name +
@@ -175,6 +183,7 @@ class FlagParser {
   }
 
   std::vector<Flag> flags_;
+  std::vector<std::string> seen_;
   std::string error_;
 };
 

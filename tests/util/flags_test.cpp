@@ -57,6 +57,24 @@ TEST(FlagParser, DefaultsSurviveWhenFlagsAbsent) {
   EXPECT_FALSE(b);
 }
 
+TEST(FlagParser, SeenTellsParsedFlagsFromDefaults) {
+  double d = 0.5;
+  double e = 0.5;
+  bool b = false;
+  FlagParser parser;
+  parser.add_double("--at", &d, "");
+  parser.add_double("--other", &e, "");
+  parser.add_bool("--csv", &b, "");
+  auto argv = make_argv({"--at=0.5", "--csv"});
+  ASSERT_EQ(parser.parse(static_cast<int>(argv.size()), argv.data()),
+            FlagParser::Result::kOk);
+  // A flag given its default value still counts as seen.
+  EXPECT_TRUE(parser.seen("--at"));
+  EXPECT_TRUE(parser.seen("--csv"));
+  EXPECT_FALSE(parser.seen("--other"));
+  EXPECT_FALSE(parser.seen("--unknown"));
+}
+
 TEST(FlagParser, HelpRecognised) {
   FlagParser parser;
   auto argv = make_argv({"--help"});

@@ -221,8 +221,9 @@ print(f"run smoke: edm-run-result/4, {d['health']['checks']} health "
       f"checks, {f['stalls_injected']} stalls, JSON shape ok")
 EOF
   # --fail-osd/--fail-at-fraction become a FaultPlan fraction failure at
-  # the flag layer: the run must fail that OSD and read around it, and an
-  # OSD outside the cluster must be one line on stderr and exit status 1.
+  # the flag layer: the run must fail that OSD and read around it, an OSD
+  # outside the cluster must be one line on stderr and exit status 1, and
+  # a fraction without --fail-osd one line naming both and exit status 2.
   "$build_dir/tools/edm_run" --scale=0.01 --fail-osd=1 \
       --fail-at-fraction=0.5 --json >"$out"
   python3 - "$out" <<'EOF'
@@ -245,6 +246,19 @@ EOF
     return 1
   fi
   echo "fraction-failure smoke: --fail-osd=99 rejected: $(cat "$out")"
+  status=0
+  "$build_dir/tools/edm_run" --scale=0.01 --fail-at-fraction=0.3 >/dev/null \
+      2>"$out" || status=$?
+  if [[ $status -ne 2 || $(wc -l <"$out") -ne 1 ]] ||
+      ! grep -q -- "--fail-at-fraction.*--fail-osd" "$out"; then
+    echo "fault smoke: --fail-at-fraction alone exited $status with" \
+        "$(wc -l <"$out") stderr lines, expected 2 and 1 naming" \
+        "--fail-at-fraction and --fail-osd" >&2
+    cat "$out" >&2
+    rm -f "$out"
+    return 1
+  fi
+  echo "fraction-failure smoke: --fail-at-fraction alone rejected: $(cat "$out")"
   rm -f "$out"
 }
 

@@ -30,7 +30,7 @@
 //     --adaptive            online sigma calibration (monitor runs)
 //     --fail-osd=<id>       fail OSD id once a fraction of the records is
 //                           issued (a FaultPlan fraction failure)
-//     --fail-at-fraction=<f> that fraction (default 0.5)
+//     --fail-at-fraction=<f> that fraction (default 0.5; requires --fail-osd)
 //     --fail-at=<o:t>       schedule: fail OSD o at t simulated seconds
 //     --rebuild-at=<o:t>    schedule: start rebuilding OSD o at t seconds
 //     --slow-at=<o:t:f[:r:ms]> schedule: OSD o turns fail-slow at t seconds
@@ -102,6 +102,7 @@ struct Options {
   bool adaptive = false;
   std::int32_t fail_osd = -1;
   double fail_at_fraction = 0.5;
+  bool fail_at_fraction_seen = false;
   std::vector<std::string> fail_at;
   std::vector<std::string> rebuild_at;
   std::vector<std::string> slow_at;
@@ -215,6 +216,7 @@ Options parse(int argc, char** argv) {
   edm::util::FlagParser parser = make_parser(opt);
   switch (parser.parse(argc, argv)) {
     case edm::util::FlagParser::Result::kOk:
+      opt.fail_at_fraction_seen = parser.seen("--fail-at-fraction");
       break;
     case edm::util::FlagParser::Result::kHelp:
       parser.print_usage(std::cerr, argv[0]);
@@ -438,6 +440,12 @@ edm::runner::TelemetrySinks sinks_from(const Options& opt) {
 
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
+  if (opt.fail_at_fraction_seen && opt.fail_osd < 0) {
+    // The fraction only places a --fail-osd failure; alone it would be
+    // dropped and the run would report a healthy cluster.
+    std::cerr << "edm_run: --fail-at-fraction requires --fail-osd\n";
+    return 2;
+  }
   try {
     edm::sim::ExperimentConfig cfg;
     cfg.trace_name = opt.trace;
