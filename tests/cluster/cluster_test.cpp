@@ -178,6 +178,38 @@ TEST(Cluster, MigrationLifecycle) {
   EXPECT_TRUE(cluster.remap().contains(oid));
 }
 
+TEST(Cluster, ForEachSiblingVisitsTheOtherObjectsAtTheirCurrentOsds) {
+  Cluster cluster(small_config(), uniform_files(16, 64 * 1024));
+  const Placement& place = cluster.placement();
+  // Move sibling 3 of file 2 so its current OSD differs from its home.
+  const ObjectId moved = place.object_id(2, 3);
+  const OsdId away = place.group_peers(cluster.locate(moved)).front();
+  ASSERT_TRUE(cluster.begin_migration(moved, away));
+  cluster.complete_migration(moved);
+
+  std::vector<ObjectId> seen;
+  std::vector<OsdId> at;
+  EXPECT_TRUE(cluster.for_each_sibling(place.object_id(2, 1),
+                                       [&](ObjectId sibling, OsdId osd) {
+                                         seen.push_back(sibling);
+                                         at.push_back(osd);
+                                         return true;
+                                       }));
+  EXPECT_EQ(seen, (std::vector<ObjectId>{place.object_id(2, 0),
+                                         place.object_id(2, 2), moved}));
+  EXPECT_EQ(at, (std::vector<OsdId>{place.default_osd(2, 0),
+                                    place.default_osd(2, 2), away}));
+
+  // A visit returning false stops the walk, and the walk reports it.
+  std::size_t visits = 0;
+  EXPECT_FALSE(cluster.for_each_sibling(place.object_id(2, 0),
+                                        [&](ObjectId, OsdId) {
+                                          ++visits;
+                                          return false;
+                                        }));
+  EXPECT_EQ(visits, 1u);
+}
+
 TEST(Cluster, MigrationBackHomeClearsRemapEntry) {
   Cluster cluster(small_config(), uniform_files(16, 64 * 1024));
   const ObjectId oid = cluster.placement().object_id(2, 1);
