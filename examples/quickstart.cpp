@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/experiment.h"
+#include "runner/sweep.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
 
   std::cout << "EDM quickstart: trace=" << trace << " scale=" << scale
             << " (16 OSDs, m=4 groups, k=4 objects/file)\n\n";
-  const auto results = edm::sim::run_grid(cells);
+  const auto results = edm::runner::run_sweep(cells);
 
   edm::util::Table table({"system", "throughput(ops/s)", "mean_rt(ms)",
                           "erases", "erase_RSD", "moved_objects",

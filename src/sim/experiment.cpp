@@ -8,7 +8,6 @@
 #include "cluster/cluster.h"
 #include "trace/cursor.h"
 #include "trace/generator.h"
-#include "util/thread_pool.h"
 
 namespace edm::sim {
 
@@ -140,16 +139,6 @@ RunResult run_experiment_streaming(const ExperimentConfig& config) {
   const ExperimentConfig cfg = finalize(config);
   trace::TraceCursor cursor(profile_for(cfg), cfg.num_clients);
   return run_cell_with(cfg, cursor.files(), cursor);
-}
-
-std::vector<RunResult> run_grid(const std::vector<ExperimentConfig>& cells,
-                                std::size_t threads) {
-  std::vector<RunResult> results(cells.size());
-  util::ThreadPool pool(threads);
-  pool.parallel_for(cells.size(), [&](std::size_t i) {
-    results[i] = run_experiment(cells[i]);
-  });
-  return results;
 }
 
 }  // namespace edm::sim

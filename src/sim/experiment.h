@@ -1,8 +1,9 @@
 // One-call experiment execution: workload profile in, RunResult out.
 //
-// This is the top of the public API -- every bench binary and example is a
-// thin wrapper around run_experiment()/run_grid().  A cell fully describes
-// one bar/point of a paper figure: (trace, policy, cluster size).
+// This is the top of the simulation API: run_experiment() runs one cell,
+// and runner::run_sweep (src/runner) runs a grid of them on parallel
+// workers.  A cell fully describes one bar/point of a paper figure:
+// (trace, policy, cluster size).
 #pragma once
 
 #include <functional>
@@ -82,11 +83,6 @@ RunResult run_experiment(const ExperimentConfig& config,
 /// instead of O(record_count).  This is the path for high --scale runs
 /// (bench/perf_scale) where the materialised trace dominates peak RSS.
 RunResult run_experiment_streaming(const ExperimentConfig& config);
-
-/// Runs cells concurrently on a thread pool (one DES per worker; the DES
-/// itself stays single-threaded).  Results are in input order.
-std::vector<RunResult> run_grid(const std::vector<ExperimentConfig>& cells,
-                                std::size_t threads = 0);
 
 /// Applies derived defaults (clients, scaled windows, policy Np) without
 /// running; exposed so tests can assert the derivation rules.

@@ -6,8 +6,7 @@
 #include <map>
 #include <set>
 
-#include "sim/experiment.h"
-#include "util/thread_pool.h"
+#include "runner/sweep.h"
 
 namespace edm {
 namespace {
@@ -33,7 +32,7 @@ class E2E : public ::testing::Test {
       cfg.scale_time_windows = false;
       cells.push_back(cfg);
     }
-    results_ = new std::vector<RunResult>(sim::run_grid(cells));
+    results_ = new std::vector<RunResult>(runner::run_sweep(cells));
   }
   static void TearDownTestSuite() {
     delete results_;

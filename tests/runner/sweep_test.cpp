@@ -113,6 +113,27 @@ TEST(Sweep, RunSweepPropagatesRunFailure) {
   EXPECT_THROW(run_sweep(std::move(cells), opt), std::exception);
 }
 
+TEST(Sweep, RunSweepKeepsResultsInGridOrder) {
+  // Result i comes from cell i, whichever worker finishes first.
+  std::vector<sim::ExperimentConfig> cells(3);
+  const core::PolicyKind policies[] = {core::PolicyKind::kNone,
+                                       core::PolicyKind::kHdf,
+                                       core::PolicyKind::kCdf};
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    cells[i].trace_name = "home02";
+    cells[i].scale = 0.005;
+    cells[i].num_osds = 8;
+    cells[i].policy = policies[i];
+  }
+  SweepOptions opt;
+  opt.jobs = 3;
+  const auto results = run_sweep(std::move(cells), opt);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].policy_name, "baseline");
+  EXPECT_EQ(results[1].policy_name, "EDM-HDF");
+  EXPECT_EQ(results[2].policy_name, "EDM-CDF");
+}
+
 TEST(Sweep, ApplySeedDerivationAssignsDistinctOffsets) {
   std::vector<sim::ExperimentConfig> cells(16);
   apply_seed_derivation(cells, 7);

@@ -84,28 +84,6 @@ TEST(RunExperiment, SharedTraceVariantMatchesGenerated) {
   EXPECT_EQ(a.aggregate_erases(), b.aggregate_erases());
 }
 
-TEST(RunGrid, ResultsInInputOrder) {
-  std::vector<ExperimentConfig> cells = {tiny(core::PolicyKind::kNone),
-                                         tiny(core::PolicyKind::kHdf),
-                                         tiny(core::PolicyKind::kCdf)};
-  const auto results = run_grid(cells, 3);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].policy_name, "baseline");
-  EXPECT_EQ(results[1].policy_name, "EDM-HDF");
-  EXPECT_EQ(results[2].policy_name, "EDM-CDF");
-}
-
-TEST(RunGrid, ParallelEqualsSequential) {
-  std::vector<ExperimentConfig> cells = {tiny(core::PolicyKind::kNone),
-                                         tiny(core::PolicyKind::kCmt)};
-  const auto par = run_grid(cells, 2);
-  const auto seq = run_grid(cells, 1);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(par[i].makespan_us, seq[i].makespan_us);
-    EXPECT_EQ(par[i].aggregate_erases(), seq[i].aggregate_erases());
-  }
-}
-
 class ExperimentPolicySweep
     : public ::testing::TestWithParam<core::PolicyKind> {};
 

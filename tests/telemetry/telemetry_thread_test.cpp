@@ -7,7 +7,7 @@
 #include <sstream>
 #include <thread>
 
-#include "sim/experiment.h"
+#include "runner/sweep.h"
 #include "telemetry/telemetry.h"
 #include "util/log.h"
 
@@ -47,7 +47,9 @@ TEST(TelemetryThread, ParallelGridKeepsRecordersIndependent) {
     }
   });
 
-  const auto results = run_grid(cells, /*threads=*/4);
+  runner::SweepOptions opt;
+  opt.jobs = 4;
+  const auto results = runner::run_sweep(cells, opt);
   stop.store(true, std::memory_order_relaxed);
   flipper.join();
 
