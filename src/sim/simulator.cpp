@@ -18,6 +18,9 @@ namespace {
 /// Pages per copy-lane sub-request, mover and rebuild chunks alike.
 constexpr std::uint32_t kCopyChunkPages = 256;
 
+/// Data mover streams; a plan's moves are dealt round-robin over them.
+constexpr std::uint32_t kMoverLanes = 4;
+
 /// Online rebuild streams.  Each rebuilds one object at a time -- k-1
 /// sibling chunk reads through the normal OSD queues, then a paced chunk
 /// write to the destination -- so rebuild contends with foreground I/O
@@ -85,9 +88,6 @@ void SimConfig::validate(std::uint32_t num_osds) const {
   }
   if (osd_queue_depth == 0) {
     throw std::invalid_argument("SimConfig: osd_queue_depth must be >= 1");
-  }
-  if (mover_concurrency == 0) {
-    throw std::invalid_argument("SimConfig: mover parameters must be > 0");
   }
   if (mover_lane_mbps < 0.0) {
     throw std::invalid_argument(
@@ -194,7 +194,7 @@ Simulator::Simulator(SimConfig config, cluster::Cluster& cluster,
     std::ranges::stable_sort(progress_hooks_, {}, &ProgressHook::at);
     next_hook_at_ = progress_hooks_.front().at;
   }
-  lanes_.resize(cfg_.mover_concurrency);
+  lanes_.resize(kMoverLanes);
   if (cfg_.adaptive_sigma && policy_ != nullptr) {
     sigma_estimator_ = std::make_unique<core::SigmaEstimator>(
         cluster_.config().flash.pages_per_block,

@@ -11,12 +11,12 @@
 //    in service sits in a device slot until its completion event.  The
 //    per-request service time is a fixed software/network overhead plus the
 //    flash simulator's device time, which includes GC stalls.
-//  * The data mover executes a migration plan on `mover_concurrency`
-//    parallel copy lanes; its chunked reads/writes share the OSD queues
-//    with foreground traffic.  HDF blocks foreground requests to an object
-//    while its own copy is in flight -- the Fig. 7 spike; CDF and CMT
-//    (which forwards, as Sorrento does) only compete for bandwidth.  The
-//    online rebuild runs on copy lanes of its own.
+//  * The data mover executes a migration plan on four parallel copy
+//    lanes; its chunked reads/writes share the OSD queues with foreground
+//    traffic.  HDF blocks foreground requests to an object while its own
+//    copy is in flight -- the Fig. 7 spike; CDF and CMT (which forwards,
+//    as Sorrento does) only compete for bandwidth.  The online rebuild
+//    runs on copy lanes of its own.
 //  * An epoch tick advances object-temperature decay every simulated
 //    minute and, in monitor mode, evaluates the wear-imbalance trigger.
 //
@@ -100,8 +100,6 @@ struct SimConfig {
 
   /// Epoch ticks between monitor-initiated migrations (damping).
   std::uint32_t monitor_cooldown_epochs = 5;
-
-  std::uint32_t mover_concurrency = 4;  // parallel migration streams
 
   /// Per-lane mover throughput cap in MB/s (0 = device-speed, unthrottled).
   /// The real data mover copies objects through the network + OSD protocol

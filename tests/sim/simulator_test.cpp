@@ -211,7 +211,6 @@ TEST(Simulator, RejectsBadConfig) {
   // negative mover rate would be cast to an unsigned duration.
   const std::pair<void (*)(SimConfig&), const char*> cases[] = {
       {[](SimConfig& c) { c.num_clients = 0; }, "num_clients"},
-      {[](SimConfig& c) { c.mover_concurrency = 0; }, "mover parameters"},
       {[](SimConfig& c) { c.client_queue_depth = 0; }, "client_queue_depth"},
       {[](SimConfig& c) { c.epoch_length_us = 0; }, "epoch_length_us"},
       {[](SimConfig& c) { c.response_window_us = 0; }, "response_window_us"},
