@@ -6,6 +6,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/provenance.h"
+
 namespace edm::util {
 
 Table::Table(std::vector<std::string> header) : header_(std::move(header)) {}
@@ -76,6 +78,26 @@ void Table::write_csv(std::ostream& os) const {
   };
   write_row(header_);
   for (const auto& row : rows_) write_row(row);
+}
+
+void Table::write_json(std::ostream& os, const std::string& indent) const {
+  auto write_row = [&](const std::vector<std::string>& row) {
+    os << '[';
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      if (c) os << ", ";
+      os << '"' << provenance_json_escape(row[c]) << '"';
+    }
+    os << ']';
+  };
+  os << indent << "\"columns\": ";
+  write_row(header_);
+  os << ",\n" << indent << "\"rows\": [";
+  for (std::size_t r = 0; r < rows_.size(); ++r) {
+    os << (r ? ",\n" : "\n") << indent << "  ";
+    write_row(rows_[r]);
+  }
+  if (!rows_.empty()) os << '\n' << indent;
+  os << ']';
 }
 
 }  // namespace edm::util

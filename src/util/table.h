@@ -2,7 +2,7 @@
 //
 // Every bench binary regenerates one of the paper's tables/figures as rows
 // printed to stdout; this formatter keeps them aligned and also supports CSV
-// dumps for plotting.
+// dumps for plotting and JSON for a machine-readable record of the run.
 #pragma once
 
 #include <iosfwd>
@@ -28,6 +28,12 @@ class Table {
 
   /// Writes RFC-4180-ish CSV (quotes cells containing comma/quote/newline).
   void write_csv(std::ostream& os) const;
+
+  /// Writes `"columns": [...]` and `"rows": [[...], ...]` as two JSON
+  /// members of the caller's object (no braces, no trailing comma), each
+  /// cell the string print() shows; `indent` is the caller's current
+  /// indentation.
+  void write_json(std::ostream& os, const std::string& indent) const;
 
   std::size_t rows() const { return rows_.size(); }
   std::size_t columns() const { return header_.size(); }

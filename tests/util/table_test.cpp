@@ -50,6 +50,27 @@ TEST(Table, CsvEscapesSpecialCharacters) {
   EXPECT_NE(out.find("\"say \"\"hi\"\"\""), std::string::npos);
 }
 
+TEST(Table, JsonHoldsThePrintedCells) {
+  Table t({"x", "say \"hi\""});
+  t.add_row({"1.50", "a\\b"});
+  t.add_row({"-", "+2.0%"});
+  std::ostringstream os;
+  t.write_json(os, "  ");
+  EXPECT_EQ(os.str(),
+            "  \"columns\": [\"x\", \"say \\\"hi\\\"\"],\n"
+            "  \"rows\": [\n"
+            "    [\"1.50\", \"a\\\\b\"],\n"
+            "    [\"-\", \"+2.0%\"]\n"
+            "  ]");
+}
+
+TEST(Table, JsonOfNoRowsIsAnEmptyArray) {
+  Table t({"x"});
+  std::ostringstream os;
+  t.write_json(os, "");
+  EXPECT_EQ(os.str(), "\"columns\": [\"x\"],\n\"rows\": []");
+}
+
 TEST(Table, ColumnsAlignedToWidestCell) {
   Table t({"h"});
   t.add_row({"wide-cell-content"});
