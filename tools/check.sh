@@ -3,17 +3,18 @@
 # then build + test the normal config (plus a build and test run of the
 # replay benchmark in perfbench/, a perf_scale smoke that validates the
 # edm-bench-result/1 JSON shape, the streaming-replay RSS ceiling and the
-# materialised replay's single copy of the trace, and
-# an open-loop smoke asserting per-tenant p99 separation under overload
-# and the workload JSON shape), then the asan-ubsan config plus fault,
-# open-loop, determinism and parallelism smokes (ext_failslow/
-# ext_openloop --quick under the sanitizers, asserting detector quality
-# and the edm-run-result/4 health JSON shape; a monitor-mode run twice
-# with report, trace and time-series compared byte for byte; and
-# --flash-geometry=flat byte-identity plus ext_parallelism --quick
-# queue-depth scaling), then the concurrency-sensitive tests (telemetry,
-# thread pool, sweep runner, logging) under ThreadSanitizer
-# (CMakePresets.json).  Any failure aborts.
+# materialised replay's single copy of the trace, and an open-loop smoke
+# asserting per-tenant p99 separation under overload and the workload
+# JSON shape), then the asan-ubsan config plus fault, open-loop,
+# determinism and parallelism smokes (the experiments driver's
+# ext_failslow, ext_openloop and ext_parallelism entries at --scale=0.02
+# with --out under the sanitizers, asserting detector quality, tenant
+# separation and queue-depth scaling from the printed tables, and the
+# edm-run-result/4 health JSON shape; a monitor-mode run twice with
+# report, trace and time-series compared byte for byte; and
+# --flash-geometry=flat byte-identity), then the concurrency-sensitive
+# tests (telemetry, thread pool, sweep runner, logging) under
+# ThreadSanitizer (CMakePresets.json).  Any failure aborts.
 #
 #   tools/check.sh [--fast]   # --fast skips the sanitizer configs
 #   tools/check.sh --smoke <name> [build_dir]
@@ -98,40 +99,70 @@ EOF
   rm -f "$out"
 }
 
-# Open-loop smoke: the multi-tenant SLO bench and the runner's workload
+# Runs experiments entry "$2" at --scale=0.02 under build "$1" with
+# --out="$3"; a non-zero exit, such as a tripped guard, fails the smoke.
+# Then checks the document's shape (schema, provenance, the one entry at
+# that scale, its first table's columns as listed comma-separated in "$4")
+# and rewrites "$3" as that table's rows, one JSON object of printed
+# cells per column name, for the caller's checks.
+experiment_smoke() {
+  "$1/bench/experiments" --experiment="$2" --scale=0.02 --no-progress \
+      --out="$3" >/dev/null
+  python3 - "$3" "$2" "$4" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    d = json.load(f)
+assert d.get("schema") == "edm-experiments/1", d.get("schema")
+assert "provenance" in d, "missing provenance"
+[e] = d["experiments"]
+assert (e["name"], e["scale"]) == (sys.argv[2], 0.02), (e["name"], e["scale"])
+t = e["tables"][0]
+assert t["columns"] == sys.argv[3].split(","), t["columns"]
+assert t["rows"], "no rows"
+with open(sys.argv[1], "w") as f:
+    json.dump([dict(zip(t["columns"], r)) for r in t["rows"]], f)
+EOF
+}
+
+# Open-loop smoke: the multi-tenant SLO entry and the runner's workload
 # JSON section.  Asserts the subsystem's headline property: per-tenant
 # p99s separate under overload, which the closed-loop reference cannot
 # express.
 openloop_smoke() {
   local build_dir="${1:-build}"
-  echo "== open-loop smoke (ext_openloop --quick, $build_dir) =="
+  echo "== open-loop smoke (experiments ext_openloop, $build_dir) =="
   local out
   out=$(mktemp)
-  "$build_dir/bench/ext_openloop" --quick --no-progress --out="$out" \
-      >/dev/null
+  experiment_smoke "$build_dir" ext_openloop "$out" \
+      "policy,mult,offered(op/s),peakQ,tenant,p50(ms),p99(ms),p999(ms),viol%"
   python3 - "$out" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
-    d = json.load(f)
-assert d.get("schema") == "edm-bench-result/1", d.get("schema")
-assert d.get("bench") == "ext_openloop", d.get("bench")
-assert "provenance" in d, "missing provenance"
-assert d["sweep"], "no sweep cells"
-for cell in d["sweep"]:
-    assert len(cell["tenants"]) == 2, "expected a two-tenant overlay"
-    for t in cell["tenants"]:
-        assert t["completed_ops"] > 0, f"{t['name']}: nothing completed"
-        assert t["p99_response_us"] >= t["p50_response_us"] > 0
-ref = d["closed_loop_reference"]
-assert ref and not any(r["offered_load_expressible"] for r in ref)
-a = d["assertions"]
-assert a["tenant_p99_separated"], (
+    rows = json.load(f)
+closed = [r["policy"] for r in rows if r["policy"].endswith(" (closed)")]
+cells = {}
+for r in rows:
+    if not r["policy"].endswith(" (closed)"):
+        cells.setdefault((r["policy"], float(r["mult"])), []).append(r)
+assert cells, "no open-loop cells"
+for key, tenants in cells.items():
+    assert len(tenants) == 2, f"{key}: expected a two-tenant overlay"
+    for r in tenants:
+        # An empty histogram reads 0, so p50 > 0 means ops completed.
+        p50, p99 = float(r["p50(ms)"]), float(r["p99(ms)"])
+        assert p99 >= p50 > 0, f"{key} {r['tenant']}: p50 {p50}, p99 {p99}"
+policies = list(dict.fromkeys(p for p, _ in cells))
+assert closed == [p + " (closed)" for p in policies], (
+    f"closed-loop reference rows {closed} for policies {policies}")
+deepest = max(m for _, m in cells)
+p99s = [float(r["p99(ms)"]) for r in cells[(policies[0], deepest)]]
+separation = max(p99s) / min(p99s)
+assert separation > 1.05, (
     f"per-tenant p99s did not separate under overload "
-    f"(ratio {a['tenant_p99_separation']:.2f} at "
-    f"{a['separation_multiplier']}x)")
-print(f"open-loop smoke: {len(d['sweep'])} cells, tenant p99 separation "
-      f"{a['tenant_p99_separation']:.2f}x at {a['separation_multiplier']}x "
-      f"offered, JSON shape ok")
+    f"(ratio {separation:.2f} at {deepest}x, {policies[0]})")
+print(f"open-loop smoke: {len(cells)} cells, tenant p99 separation "
+      f"{separation:.2f}x at {deepest}x offered ({policies[0]}), "
+      f"closed-loop reference present")
 EOF
   "$build_dir/tools/edm_run" --scale=0.01 --arrival=poisson \
       --tenants=home02:2000:25,lair62:1000:50 --json >"$out"
@@ -164,37 +195,39 @@ EOF
   rm -f "$out"
 }
 
-# Fault smoke: the fail-slow bench, the runner's health JSON and the
+# Fault smoke: the fail-slow entry, the runner's health JSON and the
 # --fail-osd/--fail-at-fraction translation, under whichever build "$1"
 # points at (the sanitizer build in the full check).
 # The replay is deterministic, so the detector-quality assertions hold at
 # any build type; the sanitizers are what this stage adds.
 fault_smoke() {
   local build_dir="$1"
-  echo "== fault smoke (ext_failslow --quick, $build_dir) =="
+  echo "== fault smoke (experiments ext_failslow, $build_dir) =="
   local out
   out=$(mktemp)
-  "$build_dir/bench/ext_failslow" --quick --out="$out" >/dev/null
+  experiment_smoke "$build_dir" ext_failslow "$out" \
+      "trace,mode,p99(ms),p999(ms),makespan(s),flagged,detect(s),hedged(wins),drained"
   python3 - "$out" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
-    d = json.load(f)
-assert d.get("schema") == "edm-bench-result/1", d.get("schema")
-assert d.get("bench") == "ext_failslow", d.get("bench")
-assert "provenance" in d, "missing provenance"
-assert d["detection"], "no detection entries"
-for t in d["detection"]:
-    assert t["false_positives"] == 0, (
-        f"{t['trace']}: monitor flagged healthy OSDs {t['flagged_clean']}")
-    assert t["flagged_detect"] == [t["injected_osd"]], (
-        f"{t['trace']}: flagged {t['flagged_detect']}, "
-        f"injected {t['injected_osd']}")
-    assert t["p99_improvement"] >= 2.0, (
-        f"{t['trace']}: mitigation recovered only "
-        f"{t['p99_improvement']:.2f}x of the injected p99 damage")
-print("fault smoke: " + ", ".join(
-    f"{t['trace']} flagged=[{t['injected_osd']}] fp=0 "
-    f"p99x{t['p99_improvement']:.2f}" for t in d["detection"]))
+    rows = json.load(f)
+traces = {}
+for r in rows:
+    traces.setdefault(r["trace"], {})[r["mode"]] = r
+summary = []
+for trace, m in traces.items():
+    clean = m["clean (+monitor)"]["flagged"]
+    assert clean == "-", f"{trace}: monitor flagged healthy OSDs {clean}"
+    # The entry injects OSD 3.
+    detect = m["+ detection"]["flagged"]
+    assert detect == "3", f"{trace}: flagged {detect}, injected 3"
+    recovery = (float(m["fail-slow"]["p99(ms)"]) /
+                float(m["+ hedge/quarantine"]["p99(ms)"]))
+    assert recovery >= 2.0, (
+        f"{trace}: mitigation recovered only {recovery:.2f}x of the "
+        f"injected p99 damage")
+    summary.append(f"{trace} flagged=[3] fp=0 p99x{recovery:.2f}")
+print("fault smoke: " + ", ".join(summary))
 EOF
   "$build_dir/tools/edm_run" --scale=0.01 --health \
       --slow-at=3:0.2:8:0.05:4 --json >"$out"
@@ -305,15 +338,16 @@ EOF
 }
 
 # Parallelism smoke: the flash internal-parallelism model, end to end
-# through the CLI and the ext_parallelism bench, under whichever build
+# through the CLI and the ext_parallelism entry, under whichever build
 # "$1" points at.  --flash-geometry=flat must be byte-identical to the
 # default flat model (the 1x1x1 equivalence contract,
-# docs/internals/flash.md), and ext_parallelism --quick must emit
-# schema-valid JSON whose nvme cells scale with queue depth while the
-# flat cells replay identically at every depth.
+# docs/internals/flash.md).  ext_parallelism must exit 0 (its own exact
+# guards fail it when a flat makespan moves with depth or a parallel
+# geometry stops scaling) and print every cell with completed ops, one
+# flat makespan at every depth and nvme scaling with queue depth.
 parallelism_smoke() {
   local build_dir="$1"
-  echo "== parallelism smoke (1x1x1 identity + ext_parallelism --quick, $build_dir) =="
+  echo "== parallelism smoke (1x1x1 identity + experiments ext_parallelism, $build_dir) =="
   local flat explicit
   flat=$(mktemp)
   explicit=$(mktemp)
@@ -330,32 +364,23 @@ parallelism_smoke() {
   echo "parallelism smoke: --flash-geometry=flat byte-identical to default"
   local out
   out=$(mktemp)
-  "$build_dir/bench/ext_parallelism" --quick --out="$out" >/dev/null 2>&1
+  experiment_smoke "$build_dir" ext_parallelism "$out" \
+      "geometry,qd,ops,makespan(s),ops/s,speedup"
   python3 - "$out" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
-    d = json.load(f)
-assert d.get("schema") == "edm-bench-result/1", d.get("schema")
-assert d.get("bench") == "ext_parallelism", d.get("bench")
-assert "provenance" in d, "missing provenance"
-assert d["cells"], "no cells"
-cell_keys = {"geometry", "channels", "dies_per_channel", "planes_per_die",
-             "bus_ctrl_us", "bus_data_us", "osd_qd", "completed_ops",
-             "makespan_us", "throughput_ops_s", "speedup_vs_qd1"}
-for c in d["cells"]:
-    missing = cell_keys - c.keys()
-    assert not missing, f"cell missing {missing}"
-    assert c["completed_ops"] > 0, "empty replay"
-flat = {c["makespan_us"] for c in d["cells"] if c["geometry"] == "flat"}
+    cells = json.load(f)
+for c in cells:
+    assert int(c["ops"]) > 0, f"{c['geometry']} qd {c['qd']}: empty replay"
+flat = {c["makespan(s)"] for c in cells if c["geometry"] == "flat"}
 assert len(flat) == 1, f"flat geometry scaled with queue depth: {flat}"
-nvme = [c for c in d["cells"] if c["geometry"] == "nvme"]
-deepest = max(nvme, key=lambda c: c["osd_qd"])
-assert deepest["speedup_vs_qd1"] > 1.1, (
-    f"nvme speedup {deepest['speedup_vs_qd1']:.2f} at qd "
-    f"{deepest['osd_qd']}: queue depth bought no throughput")
-print(f"parallelism smoke: {len(d['cells'])} cells, flat invariant at "
-      f"every depth, nvme x{deepest['speedup_vs_qd1']:.2f} at qd "
-      f"{deepest['osd_qd']}, JSON shape ok")
+nvme = [c for c in cells if c["geometry"] == "nvme"]
+deepest = max(nvme, key=lambda c: int(c["qd"]))
+assert float(deepest["speedup"]) > 1.1, (
+    f"nvme speedup {deepest['speedup']} at qd {deepest['qd']}: "
+    f"queue depth bought no throughput")
+print(f"parallelism smoke: {len(cells)} cells, flat invariant at every "
+      f"depth, nvme x{deepest['speedup']} at qd {deepest['qd']}")
 EOF
   rm -f "$flat" "$explicit" "$out"
 }
