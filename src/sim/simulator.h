@@ -85,7 +85,8 @@ struct SimConfig {
   /// Parallel-geometry devices (FlashConfig::parallel_timing()) honour
   /// depths > 1: up to this many requests are dispatched into the
   /// device's channel/die/plane pipeline concurrently, which is what
-  /// makes geometry actually buy throughput (bench/ext_parallelism).
+  /// makes geometry actually buy throughput (the ext_parallelism entry of
+  /// bench/experiments).
   std::uint32_t osd_queue_depth = 1;
 
   /// Temperature epoch length; the paper evaluates the wear model "every

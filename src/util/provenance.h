@@ -1,11 +1,11 @@
 // Build/host provenance for committed benchmark JSON and run reports.
 //
 // A wall-clock number is only comparable against another measured on the
-// same machine with the same toolchain; the committed BENCH_*.json files
-// and tools/edm_run JSON reports therefore embed where their numbers came
-// from: compiler + version, build type and flags (injected by
-// src/util/CMakeLists.txt as PUBLIC compile definitions), the CPU model,
-// and the git commit (passed by tools/bench_*.sh via EDM_GIT_COMMIT -- the
+// same machine with the same toolchain; the committed BENCH_scale.json and
+// EXPERIMENTS.json and tools/edm_run JSON reports therefore embed where
+// their numbers came from: compiler + version, build type and flags
+// (injected by src/util/CMakeLists.txt as PUBLIC compile definitions), the
+// CPU model, and the git commit (passed by tools/bench_*.sh via EDM_GIT_COMMIT -- the
 // binary itself does not shell out to git).
 //
 // Fields that cannot be determined come out as "" rather than guessing.
