@@ -65,13 +65,11 @@ Cluster::Cluster(ClusterConfig config, std::span<const trace::FileSpec> files)
   // and size every SSD so that OSD lands at target_max_utilization.
   const std::uint32_t page_size = config_.flash.page_size;
   std::vector<std::uint64_t> pages_per_osd(config_.num_osds, 0);
-  std::vector<std::uint32_t> objects_per_osd(config_.num_osds, 0);
   for (FileId f = 0; f < file_bytes_.size(); ++f) {
     const std::uint64_t obj_bytes = layout_.object_bytes(file_bytes_[f]);
     const std::uint64_t obj_pages = (obj_bytes + page_size - 1) / page_size;
     for (std::uint32_t j = 0; j < placement_.objects_per_file(); ++j) {
       pages_per_osd[placement_.default_osd(f, j)] += obj_pages;
-      ++objects_per_osd[placement_.default_osd(f, j)];
     }
   }
   const std::uint64_t max_pages =
@@ -87,9 +85,6 @@ Cluster::Cluster(ClusterConfig config, std::span<const trace::FileSpec> files)
   osds_.reserve(config_.num_osds);
   for (OsdId id = 0; id < config_.num_osds; ++id) {
     osds_.emplace_back(id, sized);
-    // The default placement's object count per store is known exactly;
-    // pre-size so the creation loop below never rehashes.
-    osds_.back().store().reserve_objects(objects_per_osd[id]);
   }
 
   // Create every object at its hash home, caching the home per dense oid

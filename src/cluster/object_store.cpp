@@ -10,34 +10,6 @@ ObjectStore::ObjectStore(std::uint64_t logical_pages)
   free_list_.push_back({0, static_cast<std::uint32_t>(logical_pages)});
 }
 
-ObjectStore::ObjectStore(const ObjectStore& other)
-    : capacity_pages_(other.capacity_pages_),
-      allocated_pages_(other.allocated_pages_),
-      free_list_(other.free_list_),
-      objects_(other.objects_) {
-  rebuild_index();
-}
-
-ObjectStore& ObjectStore::operator=(const ObjectStore& other) {
-  if (this == &other) return *this;
-  capacity_pages_ = other.capacity_pages_;
-  allocated_pages_ = other.allocated_pages_;
-  free_list_ = other.free_list_;
-  objects_ = other.objects_;
-  rebuild_index();
-  return *this;
-}
-
-void ObjectStore::rebuild_index() {
-  index_.clear();
-  index_.reserve(objects_.size());
-  for (const auto& [oid, extents] : objects_) {
-    LookupEntry& ent = index_[oid];
-    ent.all = &extents;
-    ent.single = extents.size() == 1 ? extents.front() : Extent{};
-  }
-}
-
 bool ObjectStore::create(ObjectId oid, std::uint32_t pages) {
   if (pages == 0 || contains(oid)) return false;
   if (pages > free_pages()) return false;
@@ -61,10 +33,7 @@ bool ObjectStore::create(ObjectId oid, std::uint32_t pages) {
   }
   assert(remaining == 0);  // guaranteed by the free_pages() check
   allocated_pages_ += pages;
-  const auto it = objects_.emplace(oid, std::move(taken)).first;
-  LookupEntry& ent = index_[oid];
-  ent.all = &it->second;
-  ent.single = it->second.size() == 1 ? it->second.front() : Extent{};
+  objects_.emplace(oid, std::move(taken));
   return true;
 }
 
@@ -73,7 +42,6 @@ std::vector<Extent> ObjectStore::remove(ObjectId oid) {
   if (it == objects_.end()) return {};
   std::vector<Extent> freed = std::move(it->second);
   objects_.erase(it);
-  index_.erase(oid);
   for (const auto& e : freed) {
     allocated_pages_ -= e.pages;
     // Insert sorted and coalesce with neighbours.
@@ -100,17 +68,16 @@ std::vector<Extent> ObjectStore::remove(ObjectId oid) {
 }
 
 std::uint32_t ObjectStore::object_pages(ObjectId oid) const {
-  const LookupEntry* ent = index_.find(oid);
-  if (ent == nullptr) return 0;
-  if (ent->single.pages != 0) return ent->single.pages;
+  const auto it = objects_.find(oid);
+  if (it == objects_.end()) return 0;
   std::uint32_t total = 0;
-  for (const auto& e : *ent->all) total += e.pages;
+  for (const auto& e : it->second) total += e.pages;
   return total;
 }
 
 const std::vector<Extent>* ObjectStore::extents(ObjectId oid) const {
-  const LookupEntry* ent = index_.find(oid);
-  return ent == nullptr ? nullptr : ent->all;
+  const auto it = objects_.find(oid);
+  return it == objects_.end() ? nullptr : &it->second;
 }
 
 std::vector<Extent> ObjectStore::map_range(ObjectId oid,
@@ -121,12 +88,12 @@ std::vector<Extent> ObjectStore::map_range(ObjectId oid,
   return out;
 }
 
-void ObjectStore::map_range_slow(const LookupEntry& ent,
+void ObjectStore::map_range_slow(const std::vector<Extent>& all,
                                  std::uint32_t first_page, std::uint32_t pages,
-                                 std::vector<Extent>& out) const {
+                                 std::vector<Extent>& out) {
   std::uint32_t skip = first_page;
   std::uint32_t want = pages;
-  for (const auto& e : *ent.all) {
+  for (const auto& e : all) {
     if (want == 0) break;
     if (skip >= e.pages) {
       skip -= e.pages;

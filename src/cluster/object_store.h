@@ -10,7 +10,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/flat_map.h"
 #include "util/types.h"
 
 namespace edm::cluster {
@@ -24,22 +23,6 @@ class ObjectStore {
  public:
   explicit ObjectStore(std::uint64_t logical_pages);
 
-  // Copies rebuild the lookup index (it holds pointers into objects_'s
-  // nodes); moves keep it (node-based maps keep their nodes when moved).
-  ObjectStore(const ObjectStore& other);
-  ObjectStore& operator=(const ObjectStore& other);
-  ObjectStore(ObjectStore&&) = default;
-  ObjectStore& operator=(ObjectStore&&) = default;
-
-  /// Pre-sizes the lookup index for `n` resident objects.  Cluster setup
-  /// knows the placement's per-OSD object count up front, so reserving
-  /// once avoids the open-addressing rehash-and-copy cascade that
-  /// otherwise dominates create() at high trace scales.  objects_ is
-  /// deliberately NOT reserved: its bucket count determines the
-  /// (digest-pinned) hash iteration order, and reserve() would land on a
-  /// different count than organic growth does.
-  void reserve_objects(std::size_t n) { index_.reserve(n); }
-
   /// Allocates `pages` for `oid`.  Returns false (no state change) when the
   /// device lacks space or the object already exists.
   bool create(ObjectId oid, std::uint32_t pages);
@@ -48,7 +31,7 @@ class ObjectStore {
   /// can trim the underlying flash pages.  Empty when unknown.
   std::vector<Extent> remove(ObjectId oid);
 
-  bool contains(ObjectId oid) const { return index_.contains(oid); }
+  bool contains(ObjectId oid) const { return objects_.contains(oid); }
 
   /// Size in pages; 0 for unknown objects.
   std::uint32_t object_pages(ObjectId oid) const;
@@ -67,18 +50,18 @@ class ObjectStore {
   void map_range(ObjectId oid, std::uint32_t first_page, std::uint32_t pages,
                  std::vector<Extent>& out) const {
     out.clear();
-    const LookupEntry* ent = index_.find(oid);
-    if (ent == nullptr || pages == 0) return;
-    if (ent->single.pages != 0) {
-      // Single-extent object (the common case): pure arithmetic, no second
-      // memory indirection.
-      const Extent& e = ent->single;
+    const auto it = objects_.find(oid);
+    if (it == objects_.end() || pages == 0) return;
+    const std::vector<Extent>& all = it->second;
+    if (all.size() == 1) {
+      // Single-extent object (the common case): pure arithmetic.
+      const Extent& e = all.front();
       if (first_page >= e.pages) return;  // clamped: starts past the end
       out.push_back({e.first + first_page,
                      std::min(pages, e.pages - first_page)});
       return;
     }
-    map_range_slow(*ent, first_page, pages, out);
+    map_range_slow(all, first_page, pages, out);
   }
 
   std::uint64_t allocated_pages() const { return allocated_pages_; }
@@ -107,32 +90,19 @@ class ObjectStore {
   bool check_invariants() const;
 
  private:
-  /// Flat-index entry: the single-extent case (all but churn-fragmented
-  /// objects) is inlined so map_range() resolves without dereferencing
-  /// the extents vector.  `single.pages != 0` marks the inline case
-  /// (extents are never empty); `all` always points at the full list.
-  struct LookupEntry {
-    Extent single{};
-    const std::vector<Extent>* all = nullptr;
-  };
-
-  void rebuild_index();
-  void map_range_slow(const LookupEntry& ent, std::uint32_t first_page,
-                      std::uint32_t pages, std::vector<Extent>& out) const;
+  static void map_range_slow(const std::vector<Extent>& all,
+                             std::uint32_t first_page, std::uint32_t pages,
+                             std::vector<Extent>& out);
 
   std::uint64_t capacity_pages_;
   std::uint64_t allocated_pages_ = 0;
   std::vector<Extent> free_list_;  // sorted by first page, coalesced
 
-  // objects_ stays a node-based unordered_map: populate_all() and the
-  // warm-up replay iterate it, and their (hash-order) visit sequence is
-  // pinned by the digest fixtures -- do not change the container.  Point
-  // lookups instead go through index_, a flat open-addressing mirror,
-  // because map_range() runs once per sub-request the simulator
-  // dispatches.  Node pointers are stable across rehash and map move, so
-  // the two structures only change together in create()/remove().
+  // populate_all() and the warm-up replay iterate objects_, and their
+  // (hash-order) visit sequence is pinned by the digest fixtures: keep the
+  // container, and do not reserve() it, since its bucket count sets that
+  // order.
   std::unordered_map<ObjectId, std::vector<Extent>> objects_;
-  util::FlatMap64<LookupEntry> index_;
 };
 
 }  // namespace edm::cluster
