@@ -6,9 +6,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <utility>
+#include <unordered_map>
 
-#include "util/flat_map.h"
 #include "util/types.h"
 
 namespace edm::cluster {
@@ -17,9 +16,9 @@ class RemapTable {
  public:
   /// Current location override for `oid`, if remapped.
   std::optional<OsdId> lookup(ObjectId oid) const {
-    const OsdId* osd = table_.find(oid);
-    if (osd == nullptr) return std::nullopt;
-    return *osd;
+    const auto it = table_.find(oid);
+    if (it == table_.end()) return std::nullopt;
+    return it->second;
   }
 
   bool contains(ObjectId oid) const { return table_.contains(oid); }
@@ -44,13 +43,11 @@ class RemapTable {
   /// Visits entries in unspecified (hash) order; callers sort if they care.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    table_.for_each(std::forward<Fn>(fn));
+    for (const auto& [oid, osd] : table_) fn(oid, osd);
   }
 
  private:
-  // Flat open-addressing map: lookup() sits on Cluster::locate, which runs
-  // for every sub-request the simulator dispatches.
-  util::FlatMap64<OsdId> table_;
+  std::unordered_map<ObjectId, OsdId> table_;
   std::uint64_t updates_ = 0;
 };
 
