@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/flat_map.h"
 #include "util/types.h"
 
 namespace edm::core {
@@ -37,53 +36,6 @@ inline constexpr std::array<double, 64> kDecayFactor = [] {
 }();
 }  // namespace detail
 
-/// Single exponential-decay temperature map.
-class TemperatureTracker {
- public:
-  /// Adds `amount` to the object's current-epoch accumulator A_k.
-  void record(ObjectId oid, double amount);
-
-  /// Moves to epoch k+1: all temperatures halve (lazily).
-  void advance_epoch() { ++epoch_; }
-
-  /// Temperature decayed to the current epoch; 0 for never-seen objects.
-  double temperature(ObjectId oid) const;
-
-  std::uint32_t epoch() const { return epoch_; }
-  std::size_t tracked_objects() const { return map_.size(); }
-
-  /// Drops entries whose decayed temperature falls below `floor` -- the
-  /// paper's memory-bound ("we cache only part of the objects' metadata in
-  /// memory"); cold entries are exactly the ones that no longer matter.
-  void evict_below(double floor);
-
-  /// Hard capacity bound: keeps (approximately) the `max_entries` hottest
-  /// entries, evicting from the cold end ("we only cache the k hottest
-  /// objects in memory for HDF", SIV).  0 = unbounded.  Enforcement is
-  /// amortised: call at epoch boundaries, not per access.
-  void enforce_capacity(std::size_t max_entries);
-
- private:
-  struct Entry {
-    double temp = 0.0;        // temperature as of `epoch`
-    std::uint32_t epoch = 0;  // epoch the value is current for
-  };
-
-  static double decayed(const Entry& e, std::uint32_t now) {
-    const std::uint32_t delta = now - e.epoch;
-    if (delta >= 64) return 0.0;
-    return e.temp * detail::kDecayFactor[delta];
-  }
-
-  // Flat open-addressing map: record() runs once or twice per simulated
-  // I/O, so the lookup must stay one cache line, not a node chase.  All
-  // uses are iteration-order-independent (threshold selection + value
-  // queries), so the probe-order iteration is safe for replay determinism.
-  util::FlatMap64<Entry> map_;
-  std::uint32_t epoch_ = 0;
-  std::vector<double> temps_scratch_;  // enforce_capacity, reused per epoch
-};
-
 /// The per-OSD access tracker of the EDM architecture (Fig. 4): updates both
 /// temperatures on every read/write the OSD serves.
 ///
@@ -91,9 +43,9 @@ class TemperatureTracker {
 /// with dense file ids), so both temperatures live in ONE vector indexed
 /// directly by object id: the hot on_access() is a single array access --
 /// no hashing, no probe chain, no rehash pauses.  Each side keeps its own
-/// existence flag, value, and epoch stamp, so the observable behaviour --
-/// temperatures, tracked-object counts, capacity eviction -- is exactly
-/// what two independent TemperatureTrackers would produce.  (The paper's
+/// existence flag, value, and epoch stamp, so the two temperatures behave
+/// as two independent maps -- temperatures, tracked-object counts and
+/// capacity eviction on one side never touch the other.  (The paper's
 /// memory bound is modelled by the existence flags; a cleared entry
 /// behaves exactly like one evicted from a bounded cache.)
 class AccessTracker {
@@ -186,8 +138,9 @@ class AccessTracker {
     dense_.resize(n);
   }
 
-  /// Capacity bound for one temperature side, identical to
-  /// TemperatureTracker::enforce_capacity over that side's entries.
+  /// Capacity bound for one temperature side: keeps (approximately) the
+  /// `max_entries_` hottest entries, evicting from the cold end ("we only
+  /// cache the k hottest objects in memory for HDF", SIV).
   void enforce_side(double DualEntry::*temp, std::uint32_t DualEntry::*ep,
                     std::uint8_t DualEntry::*has, std::size_t& count) {
     if (count <= max_entries_) return;

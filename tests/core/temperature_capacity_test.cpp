@@ -1,5 +1,8 @@
 // Capacity-bounded temperature tracking (the paper's in-memory metadata
-// limit: "we only cache the k hottest objects in memory").
+// limit: "we only cache the k hottest objects in memory").  AccessTracker
+// sheds the coldest entries of each side at every epoch boundary; the
+// tests driven by writes check both sides, those driven by reads the total
+// side, which reads alone fill.
 #include <gtest/gtest.h>
 
 #include "core/temperature.h"
@@ -7,43 +10,70 @@
 namespace edm::core {
 namespace {
 
+constexpr bool kSides[] = {true, false};  // is_write: writes, then reads
+
+/// Entries a run of one access kind left on each side.
+void expect_tracked(const AccessTracker& t, bool writes, std::size_t n) {
+  SCOPED_TRACE(writes ? "writes" : "reads");
+  EXPECT_EQ(t.tracked_total_objects(), n);
+  EXPECT_EQ(t.tracked_write_objects(), writes ? n : 0u);
+}
+
 TEST(TemperatureCapacity, UnboundedByDefault) {
-  TemperatureTracker t;
-  for (ObjectId oid = 0; oid < 1000; ++oid) t.record(oid, 1.0);
-  t.enforce_capacity(0);
-  EXPECT_EQ(t.tracked_objects(), 1000u);
+  for (const bool writes : kSides) {
+    AccessTracker t(/*max_entries_per_map=*/0);
+    for (ObjectId oid = 0; oid < 1000; ++oid) t.on_access(oid, 1, writes);
+    t.advance_epoch();
+    expect_tracked(t, writes, 1000);
+  }
 }
 
 TEST(TemperatureCapacity, NoOpWhenUnderCapacity) {
-  TemperatureTracker t;
-  t.record(1, 5.0);
-  t.record(2, 3.0);
-  t.enforce_capacity(10);
-  EXPECT_EQ(t.tracked_objects(), 2u);
+  for (const bool writes : kSides) {
+    AccessTracker t(10);
+    t.on_access(1, 5, writes);
+    t.on_access(2, 3, writes);
+    t.advance_epoch();
+    expect_tracked(t, writes, 2);
+    EXPECT_DOUBLE_EQ(t.total_temperature(1), 2.5);
+    EXPECT_DOUBLE_EQ(t.total_temperature(2), 1.5);
+  }
 }
 
 TEST(TemperatureCapacity, KeepsTheHottestEntries) {
-  TemperatureTracker t;
-  for (ObjectId oid = 0; oid < 100; ++oid) {
-    t.record(oid, static_cast<double>(oid + 1));  // oid 99 hottest
+  for (const bool writes : kSides) {
+    SCOPED_TRACE(writes ? "writes" : "reads");
+    AccessTracker t(10);
+    for (ObjectId oid = 0; oid < 100; ++oid) {
+      t.on_access(oid, static_cast<std::uint32_t>(oid + 1), writes);
+    }  // oid 99 hottest
+    t.advance_epoch();
+    EXPECT_LE(t.tracked_total_objects(), 11u);  // ties may survive one round
+    EXPECT_GE(t.tracked_total_objects(), 10u);
+    EXPECT_EQ(t.tracked_write_objects(),
+              writes ? t.tracked_total_objects() : 0u);
+    for (ObjectId oid = 90; oid < 100; ++oid) {
+      EXPECT_GT(t.total_temperature(oid), 0.0) << "hot object " << oid;
+      EXPECT_EQ(t.write_temperature(oid) > 0.0, writes) << oid;
+    }
+    EXPECT_EQ(t.total_temperature(5), 0.0);  // cold object gone
+    EXPECT_EQ(t.write_temperature(5), 0.0);
   }
-  t.enforce_capacity(10);
-  EXPECT_LE(t.tracked_objects(), 11u);  // ties may survive one round
-  EXPECT_GE(t.tracked_objects(), 10u);
-  for (ObjectId oid = 90; oid < 100; ++oid) {
-    EXPECT_GT(t.temperature(oid), 0.0) << "hot object " << oid << " evicted";
-  }
-  EXPECT_EQ(t.temperature(5), 0.0);  // cold object gone
 }
 
 TEST(TemperatureCapacity, EvictedObjectsCanReheat) {
-  TemperatureTracker t;
-  for (ObjectId oid = 0; oid < 50; ++oid) t.record(oid, 100.0);
-  t.record(99, 1.0);  // coldest
-  t.enforce_capacity(50);
-  EXPECT_EQ(t.temperature(99), 0.0);
-  t.record(99, 500.0);  // comes back hot
-  EXPECT_DOUBLE_EQ(t.temperature(99), 500.0);
+  for (const bool writes : kSides) {
+    SCOPED_TRACE(writes ? "writes" : "reads");
+    AccessTracker t(50);
+    for (ObjectId oid = 0; oid < 50; ++oid) t.on_access(oid, 100, writes);
+    t.on_access(99, 1, writes);  // coldest
+    t.advance_epoch();
+    EXPECT_EQ(t.total_temperature(99), 0.0);
+    EXPECT_EQ(t.write_temperature(99), 0.0);
+    t.on_access(99, 500, writes);  // comes back hot, with no history
+    EXPECT_DOUBLE_EQ(t.total_temperature(99), 500.0);
+    EXPECT_DOUBLE_EQ(t.write_temperature(99), writes ? 500.0 : 0.0);
+  }
 }
 
 TEST(TemperatureCapacity, AccessTrackerEnforcesAtEpochBoundary) {
