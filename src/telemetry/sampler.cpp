@@ -39,27 +39,4 @@ void Sampler::write_csv(std::ostream& os) const {
   }
 }
 
-void Sampler::write_json(std::ostream& os) const {
-  os << "{\"schema\":\"edm-timeseries/1\",\"interval_us\":" << interval_us_
-     << ",\"samples\":[";
-  bool first_row = true;
-  for (const SampleRow& row : rows_) {
-    if (!first_row) os << ',';
-    first_row = false;
-    os << "\n{\"t_us\":" << row.t
-       << ",\"inflight_migration_bytes\":" << row.inflight_migration_bytes;
-    os << ",\"osds\":[";
-    bool first_osd = true;
-    for (const OsdSample& o : row.osds) {
-      if (!first_osd) os << ',';
-      first_osd = false;
-      os << "{\"qd\":" << o.queue_depth << ",\"util\":" << safe(o.utilization)
-         << ",\"load_ewma_us\":" << safe(o.load_ewma_us)
-         << ",\"erases\":" << o.erases << '}';
-    }
-    os << "]}";
-  }
-  os << "\n]}\n";
-}
-
 }  // namespace edm::telemetry

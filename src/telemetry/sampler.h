@@ -1,5 +1,5 @@
 // Time-series sampler: snapshots cluster state at a fixed interval on the
-// DES clock (never the wall clock) and exports the series as CSV or JSON.
+// DES clock (never the wall clock) and exports the series as CSV.
 //
 // One row per sample tick; each row carries the cluster-wide in-flight
 // migration byte count plus per-OSD columns (queue depth, utilization,
@@ -8,8 +8,8 @@
 // fixed seed + config.
 //
 // Thread-safety: none -- one Sampler per Recorder per simulation thread
-// (see telemetry.h); the CSV/JSON writers may run on another thread once
-// the run has finished.
+// (see telemetry.h); the CSV writer may run on another thread once the
+// run has finished.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +47,6 @@ class Sampler {
   /// CSV: one header line, then one line per sample tick.  Per-OSD columns
   /// are suffixed with the device index (qd0, util0, ...).
   void write_csv(std::ostream& os) const;
-
-  /// JSON: {"schema":"edm-timeseries/1","interval_us":...,"samples":[...]}.
-  void write_json(std::ostream& os) const;
 
  private:
   SimDuration interval_us_;

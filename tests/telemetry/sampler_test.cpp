@@ -52,17 +52,6 @@ TEST(Sampler, CsvHeaderMatchesOsdCount) {
             std::string::npos);
 }
 
-TEST(Sampler, JsonCarriesSchemaAndInterval) {
-  const Sampler s = two_row_sampler();
-  std::ostringstream os;
-  s.write_json(os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("\"schema\":\"edm-timeseries/1\""), std::string::npos);
-  EXPECT_NE(out.find("\"interval_us\":1000000"), std::string::npos);
-  EXPECT_NE(out.find("\"t_us\":1000000"), std::string::npos);
-  EXPECT_NE(out.find("\"erases\":10"), std::string::npos);
-}
-
 TEST(Sampler, NonFiniteValuesClampedInExports) {
   Sampler s(500);
   SampleRow& r = s.add_row(500);
@@ -76,10 +65,6 @@ TEST(Sampler, NonFiniteValuesClampedInExports) {
   const std::string data = csv.str().substr(csv.str().find('\n'));
   EXPECT_EQ(data.find("nan"), std::string::npos);
   EXPECT_EQ(data.find("inf"), std::string::npos);
-  std::ostringstream json;
-  s.write_json(json);
-  EXPECT_EQ(json.str().find("nan"), std::string::npos);
-  EXPECT_EQ(json.str().find(":inf"), std::string::npos);
 }
 
 TEST(Sampler, EmptySamplerStillWritesHeader) {
@@ -96,9 +81,6 @@ TEST(Sampler, ExportsCarryNoHostState) {
   std::ostringstream plain_csv;
   plain.write_csv(plain_csv);
   EXPECT_EQ(plain_csv.str().find("peak_rss"), std::string::npos);
-  std::ostringstream plain_json;
-  plain.write_json(plain_json);
-  EXPECT_EQ(plain_json.str().find("peak_rss"), std::string::npos);
 }
 
 }  // namespace
