@@ -48,7 +48,7 @@ void write_run_outputs(const sim::RunResult& result,
       tracer != nullptr && !sinks.trace_out.empty()) {
     if (tracer->dropped() > 0) {
       EDM_WARN << "trace for run " << index << " dropped " << tracer->dropped()
-               << " events (cap " << tel->config().max_trace_events << ")";
+               << " events (cap " << telemetry::kMaxTraceEvents << ")";
     }
     const std::string path = indexed_path(sinks.trace_out, index, total);
     std::ofstream os(path);

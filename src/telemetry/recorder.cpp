@@ -3,10 +3,8 @@
 namespace edm::telemetry {
 
 Recorder::Recorder(TelemetryConfig config) : cfg_(config) {
-  cfg_.validate();
   if (cfg_.trace_enabled) {
-    tracer_ = std::make_unique<Tracer>(cfg_.trace_categories,
-                                       cfg_.max_trace_events);
+    tracer_ = std::make_unique<Tracer>();
   }
   if (cfg_.metrics_enabled) {
     metrics_ = std::make_unique<Registry>();

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 
 #include "telemetry/metrics.h"
 #include "telemetry/sampler.h"
@@ -26,15 +25,9 @@ namespace edm::telemetry {
 
 /// Run-level switchboard: what to record and how often to sample.
 struct TelemetryConfig {
-  /// Span/instant event collection (Chrome trace-event export).
+  /// Span/instant event collection (Chrome trace-event export), up to
+  /// kMaxTraceEvents events (tracer.h).
   bool trace_enabled = false;
-
-  /// Bitmask of enabled Category values (see tracer.h); default all.
-  std::uint32_t trace_categories = kAllCategories;
-
-  /// Hard cap on retained trace events; events beyond it are counted as
-  /// dropped instead of growing memory without bound.
-  std::size_t max_trace_events = 4u << 20;
 
   /// Named counters / gauges / latency histograms.
   bool metrics_enabled = false;
@@ -44,13 +37,6 @@ struct TelemetryConfig {
 
   bool any() const {
     return trace_enabled || metrics_enabled || sample_interval_us > 0;
-  }
-
-  void validate() const {
-    if (trace_enabled && max_trace_events == 0) {
-      throw std::invalid_argument(
-          "TelemetryConfig: max_trace_events must be > 0 when tracing");
-    }
   }
 };
 

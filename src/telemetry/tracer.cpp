@@ -41,9 +41,6 @@ const char* category_name(Category c) {
   return "unknown";
 }
 
-Tracer::Tracer(std::uint32_t category_mask, std::size_t max_events)
-    : mask_(category_mask & kAllCategories), max_events_(max_events) {}
-
 void Tracer::name_track(std::uint32_t track, const std::string& name) {
   const auto it = std::find_if(
       track_names_.begin(), track_names_.end(),

@@ -21,7 +21,7 @@
 
 namespace edm::telemetry {
 
-/// Event taxonomy.  One bit each so TelemetryConfig can mask categories.
+/// Event taxonomy; every category is always recorded.
 enum class Category : std::uint8_t {
   kRequest = 0,  // client file-operation spans
   kGc = 1,       // flash garbage-collection stalls
@@ -30,13 +30,11 @@ enum class Category : std::uint8_t {
   kPolicy = 4,   // policy trigger evaluations (plan() calls)
   kFault = 5,    // failures, retries-exhausted, rebuild windows
 };
-inline constexpr std::uint32_t kNumCategories = 6;
-inline constexpr std::uint32_t kAllCategories = (1u << kNumCategories) - 1;
-
-constexpr std::uint32_t category_bit(Category c) {
-  return 1u << static_cast<std::uint32_t>(c);
-}
 const char* category_name(Category c);
+
+/// Events a run's tracer retains; later ones are counted as dropped
+/// instead of growing memory without bound.
+inline constexpr std::size_t kMaxTraceEvents = 4u << 20;
 
 /// Track ("thread") ids of the exported trace.  Purely presentational:
 /// Perfetto renders one lane per tid.
@@ -69,43 +67,35 @@ struct TraceEvent {
 
 class Tracer {
  public:
-  Tracer(std::uint32_t category_mask, std::size_t max_events);
-
-  /// Cheap pre-check for call sites that must compute arguments.
-  bool enabled(Category c) const { return (mask_ & category_bit(c)) != 0; }
+  explicit Tracer(std::size_t max_events = kMaxTraceEvents)
+      : max_events_(max_events) {}
 
   /// Records a completed span [start, start + dur).
   void complete(Category c, const char* name, std::uint32_t track,
                 SimTime start, SimDuration dur) {
-    if (!enabled(c)) return;
     push({name, c, 'X', track, start, dur, 0, {}, {}});
   }
   void complete(Category c, const char* name, std::uint32_t track,
                 SimTime start, SimDuration dur, const char* k0, double v0) {
-    if (!enabled(c)) return;
     push({name, c, 'X', track, start, dur, 1, {k0, nullptr}, {v0, 0.0}});
   }
   void complete(Category c, const char* name, std::uint32_t track,
                 SimTime start, SimDuration dur, const char* k0, double v0,
                 const char* k1, double v1) {
-    if (!enabled(c)) return;
     push({name, c, 'X', track, start, dur, 2, {k0, k1}, {v0, v1}});
   }
 
   /// Records a zero-duration instant event.
   void instant(Category c, const char* name, std::uint32_t track,
                SimTime ts) {
-    if (!enabled(c)) return;
     push({name, c, 'i', track, ts, 0, 0, {}, {}});
   }
   void instant(Category c, const char* name, std::uint32_t track, SimTime ts,
                const char* k0, double v0) {
-    if (!enabled(c)) return;
     push({name, c, 'i', track, ts, 0, 1, {k0, nullptr}, {v0, 0.0}});
   }
   void instant(Category c, const char* name, std::uint32_t track, SimTime ts,
                const char* k0, double v0, const char* k1, double v1) {
-    if (!enabled(c)) return;
     push({name, c, 'i', track, ts, 0, 2, {k0, k1}, {v0, v1}});
   }
 
@@ -128,7 +118,6 @@ class Tracer {
     events_.push_back(e);
   }
 
-  std::uint32_t mask_;
   std::size_t max_events_;
   std::vector<TraceEvent> events_;
   std::vector<std::pair<std::uint32_t, std::string>> track_names_;

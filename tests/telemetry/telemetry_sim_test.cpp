@@ -152,17 +152,6 @@ TEST(TelemetrySim, TraceContainsTaxonomy) {
   EXPECT_TRUE(checked);
 }
 
-TEST(TelemetrySim, CategoryMaskSuppressesRequestSpans) {
-  auto cfg = small_cell(core::PolicyKind::kHdf);
-  cfg.telemetry.trace_enabled = true;
-  cfg.telemetry.trace_categories =
-      telemetry::category_bit(telemetry::Category::kMigration);
-  const RunResult r = run_experiment(cfg);
-  for (const auto& e : r.telemetry->tracer()->events()) {
-    EXPECT_EQ(e.category, telemetry::Category::kMigration);
-  }
-}
-
 TEST(TelemetrySim, TelemetryDoesNotPerturbTheSimulation) {
   // The recorder observes; it must never change scheduling decisions.
   auto plain = small_cell(core::PolicyKind::kHdf);

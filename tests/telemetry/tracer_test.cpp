@@ -9,7 +9,7 @@ namespace edm::telemetry {
 namespace {
 
 TEST(Tracer, RecordsCompleteAndInstantEvents) {
-  Tracer tracer(kAllCategories, 100);
+  Tracer tracer;
   tracer.complete(Category::kRequest, "op", track_client(0), 10, 5);
   tracer.instant(Category::kFault, "osd_fail", track_fault(), 42, "osd", 3.0);
   ASSERT_EQ(tracer.events().size(), 2u);
@@ -28,20 +28,8 @@ TEST(Tracer, RecordsCompleteAndInstantEvents) {
   EXPECT_DOUBLE_EQ(inst.arg_val[0], 3.0);
 }
 
-TEST(Tracer, CategoryMaskFilters) {
-  Tracer tracer(category_bit(Category::kGc), 100);
-  EXPECT_TRUE(tracer.enabled(Category::kGc));
-  EXPECT_FALSE(tracer.enabled(Category::kRequest));
-  tracer.complete(Category::kRequest, "op", 1, 0, 1);
-  tracer.complete(Category::kGc, "gc", 1, 0, 1);
-  ASSERT_EQ(tracer.events().size(), 1u);
-  EXPECT_STREQ(tracer.events()[0].name, "gc");
-  // Masked-out events are filtered, not dropped-for-capacity.
-  EXPECT_EQ(tracer.dropped(), 0u);
-}
-
 TEST(Tracer, CapCountsDropped) {
-  Tracer tracer(kAllCategories, 2);
+  Tracer tracer(2);
   for (int i = 0; i < 5; ++i) {
     tracer.instant(Category::kPolicy, "tick", track_policy(), i);
   }
@@ -65,7 +53,7 @@ TEST(Tracer, CategoryNamesDistinct) {
 }
 
 TEST(Tracer, ChromeJsonShape) {
-  Tracer tracer(kAllCategories, 100);
+  Tracer tracer;
   tracer.name_track(track_osd(0), "osd0");
   tracer.complete(Category::kGc, "gc", track_osd(0), 100, 7, "moves", 12.0);
   tracer.instant(Category::kPolicy, "plan", track_policy(), 200, "signal",
@@ -96,7 +84,7 @@ TEST(Tracer, ChromeJsonShape) {
 }
 
 TEST(Tracer, ChromeJsonBalancedAndNoTrailingCommas) {
-  Tracer tracer(kAllCategories, 100);
+  Tracer tracer;
   tracer.name_track(track_client(1), "client1");
   for (int i = 0; i < 10; ++i) {
     tracer.complete(Category::kRequest, "op", track_client(1), i * 10, 4);
