@@ -1252,11 +1252,15 @@ const std::vector<Experiment> kCatalogue = {
            {"cdf", PolicyKind::kCdf}};
        const std::vector<double> multipliers = {0.5, 0.8, 1.0, 1.2, 1.5};
        // Each tenant profile's solo closed-loop throughput: the capacity
-       // every multiplier is expressed against.
+       // every multiplier is expressed against.  These probes write no
+       // telemetry files; the table's rows do.
+       Args probe_args = args;
+       probe_args.trace_out.clear();
+       probe_args.timeseries_out.clear();
        const Results capacity =
            run_cells({cell("home02", PolicyKind::kNone, 16, args.scale),
                       cell("lair62", PolicyKind::kNone, 16, args.scale)},
-                     args, self.name + "/capacity");
+                     probe_args, self.name + "/capacity");
        const auto tenant = [&](const char* profile, double rate,
                                double slo_ms) {
          workload::TenantSpec t;
@@ -1265,26 +1269,27 @@ const std::vector<Experiment> kCatalogue = {
          t.slo_ms = slo_ms;
          return t;
        };
-       Cells open;
-       Cells closed;
+       // The open-loop cells, then the closed-loop references: one sweep
+       // in table order, so telemetry file i belongs to run i.
+       Cells cells;
        for (const auto& [label, policy] : policies) {
          for (double m : multipliers) {
-           open.push_back(cell("home02", policy, 16, args.scale));
-           open.back().open_loop.tenants = {
+           cells.push_back(cell("home02", policy, 16, args.scale));
+           cells.back().open_loop.tenants = {
                tenant("home02", m * ops(capacity[0]) / 2.0, 25.0),
                tenant("lair62", m * ops(capacity[1]) / 2.0, 50.0)};
          }
-         closed.push_back(cell("home02", policy, 16, args.scale));
        }
-       const Results open_results =
-           run_cells(open, args, self.name + "/sweep");
-       const Results closed_results =
-           run_cells(closed, args, self.name + "/closed");
+       const std::size_t num_open = cells.size();
+       for (const auto& [label, policy] : policies) {
+         cells.push_back(cell("home02", policy, 16, args.scale));
+       }
+       const Results results = run_cells(cells, args, self.name);
 
        Table table({"policy", "mult", "offered(op/s)", "peakQ", "tenant",
                     "p50(ms)", "p99(ms)", "p999(ms)", "viol%"});
-       for (std::size_t i = 0; i < open.size(); ++i) {
-         const auto& w = open_results[i].workload;
+       for (std::size_t i = 0; i < num_open; ++i) {
+         const auto& w = results[i].workload;
          for (const auto& tn : w.tenants) {
            table.add_row({policies[i / multipliers.size()].first,
                           Table::num(multipliers[i % multipliers.size()], 1),
@@ -1297,7 +1302,7 @@ const std::vector<Experiment> kCatalogue = {
          }
        }
        for (std::size_t i = 0; i < policies.size(); ++i) {
-         const auto& r = closed_results[i];
+         const auto& r = results[num_open + i];
          table.add_row({std::string(policies[i].first) + " (closed)", "-",
                         throughput(r), "-", "-", "-",
                         ms(r.response_histogram, 0.99),
@@ -1308,8 +1313,7 @@ const std::vector<Experiment> kCatalogue = {
        // largest tenant p99 over the smallest.
        double lo = 0.0;
        double hi = 0.0;
-       for (const auto& tn :
-            open_results[multipliers.size() - 1].workload.tenants) {
+       for (const auto& tn : results[multipliers.size() - 1].workload.tenants) {
          const double p99 = tn.response_histogram.quantile(0.99);
          if (lo == 0.0 || p99 < lo) lo = p99;
          if (p99 > hi) hi = p99;
@@ -1327,7 +1331,6 @@ const std::vector<Experiment> kCatalogue = {
                 "x offered).  The closed-loop rows self-clock at capacity: "
                 "no offered-load axis, no per-tenant tail, no SLO "
                 "accounting.");
-       write_telemetry_outputs(open_results, args);
      }},
 
     // Extension: flash internal parallelism (docs/internals/flash.md
