@@ -5,7 +5,8 @@
 #  2. every --flag registered in bench/, tools/, src/util, src/runner is
 #     documented in docs/MANUAL.md, and every flag row of the manual names
 #     a registered flag,
-#  3. every intra-repo markdown link in *.md resolves to a real file.
+#  3. every intra-repo markdown link in *.md resolves to a real file,
+#  4. every edm-<name>/<n> schema tag the docs name is emitted by a source.
 #
 #   tools/check_docs.sh
 set -euo pipefail
@@ -112,6 +113,20 @@ while IFS= read -r md; do
     [[ -e "$dir/$target" ]] || err "$md links to missing file: $target"
   done < <(grep -oE '\]\([^)]+\)' "$md" | sed 's/^](//; s/)$//')
 done < <(find . -name '*.md' -not -path './build*' -not -path './.git/*')
+
+# -- 4. every schema tag the docs name is emitted by a source ------------
+# A tag named in README.md, docs/ or the verify skill must appear inside
+# a string literal of a .cpp or .h under src/, bench/ or tools/ (comment
+# lines do not count), so a format's description goes when its writer
+# does.  CHANGES.md and ROADMAP.md are history and are not checked.
+tag_re='edm-[a-z][a-z0-9-]*/[0-9]+'
+emitted=$(grep -rhE --include='*.cpp' --include='*.h' "\"[^\"]*$tag_re" \
+  src bench tools | grep -vE '^[[:space:]]*//' | grep -oE "$tag_re" | sort -u)
+for tag in $(grep -rhoE "$tag_re" README.md docs .claude/skills/verify/SKILL.md |
+  sort -u); do
+  grep -qxF -- "$tag" <<<"$emitted" ||
+    err "schema $tag is documented but no source emits it as a string literal"
+done
 
 if [[ $fail -ne 0 ]]; then
   echo "check_docs: FAILED" >&2
