@@ -9,8 +9,8 @@
 // A replay keeps few events pending at once: one completion per busy
 // device slot (16 on a flat 16-OSD cluster, 128 at nvme queue depth 8),
 // plus a handful of timers, backoffs and hedge deadlines.  A heap of that
-// size is a few cache lines deep, so push and pop are O(log n) sift steps
-// over memory that stays hot (docs/internals/sim.md).
+// size stays in L1 and is at most eight levels deep, so push and pop are a
+// few sift steps over hot memory (docs/internals/sim.md).
 //
 // Thread-safety: none -- an EventQueue is owned and driven by exactly one
 // Simulator on one thread.  The runner's job-level parallelism gives every
