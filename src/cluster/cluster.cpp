@@ -9,31 +9,29 @@
 namespace edm::cluster {
 
 void ClusterConfig::validate() const {
-  if (target_max_utilization <= 0.0 || target_max_utilization > 0.95) {
+  // Every device starts at up to target_max_utilization, so a target above
+  // the destination cap would reject every migration destination from the
+  // first shuffle.
+  static_assert(kDestinationUtilizationCap == 0.90, "message quotes 0.9");
+  if (!(target_max_utilization > 0.0) ||
+      target_max_utilization > kDestinationUtilizationCap) {
     throw std::invalid_argument(
-        "ClusterConfig: target_max_utilization must be in (0, 0.95]");
-  }
-  if (destination_utilization_cap <= 0.0 ||
-      destination_utilization_cap > 1.0) {
-    throw std::invalid_argument(
-        "ClusterConfig: destination_utilization_cap must be in (0, 1]");
-  }
-  if (stripe_unit == 0 || stripe_unit % flash.page_size != 0) {
-    throw std::invalid_argument(
-        "ClusterConfig: stripe_unit must be a positive multiple of the "
-        "flash page size");
-  }
-  if (destination_utilization_cap < target_max_utilization) {
-    // Every device starts at up to target_max_utilization, so a cap below
-    // it would reject every migration destination from the first shuffle.
-    throw std::invalid_argument(
-        "ClusterConfig: destination_utilization_cap must be >= "
-        "target_max_utilization (no destination could ever be admitted)");
+        "ClusterConfig: target_max_utilization must be in (0, 0.9]; 0.9 is "
+        "the destination utilization cap, above which no device could "
+        "receive a migration");
   }
   // Placement construction validates n/m/k; FlashConfig validates geometry.
 }
 
 namespace {
+/// Byte offset -> flash page: a shift, as kPageSize is a power of two.
+constexpr int kPageShift = std::countr_zero(flash::kPageSize);
+
+/// Flash pages holding `bytes`, rounded up.
+std::uint64_t pages_of(std::uint64_t bytes) {
+  return (bytes + flash::kPageSize - 1) / flash::kPageSize;
+}
+
 Placement make_placement(const ClusterConfig& config) {
   if (!config.group_sizes.empty()) {
     return Placement(config.group_sizes, config.objects_per_file);
@@ -46,7 +44,7 @@ Placement make_placement(const ClusterConfig& config) {
 Cluster::Cluster(ClusterConfig config, std::span<const trace::FileSpec> files)
     : config_(config),
       placement_(make_placement(config)),
-      layout_(config.objects_per_file, config.stripe_unit) {
+      layout_(config.objects_per_file, kStripeUnit) {
   // Weighted grouping derives the topology from the size list.
   config_.num_osds = placement_.num_osds();
   config_.num_groups = placement_.num_groups();
@@ -63,11 +61,10 @@ Cluster::Cluster(ClusterConfig config, std::span<const trace::FileSpec> files)
 
   // Dynamic capacity rule: find the most loaded OSD under default placement
   // and size every SSD so that OSD lands at target_max_utilization.
-  const std::uint32_t page_size = config_.flash.page_size;
   std::vector<std::uint64_t> pages_per_osd(config_.num_osds, 0);
   for (FileId f = 0; f < file_bytes_.size(); ++f) {
     const std::uint64_t obj_bytes = layout_.object_bytes(file_bytes_[f]);
-    const std::uint64_t obj_pages = (obj_bytes + page_size - 1) / page_size;
+    const std::uint64_t obj_pages = pages_of(obj_bytes);
     for (std::uint32_t j = 0; j < placement_.objects_per_file(); ++j) {
       pages_per_osd[placement_.default_osd(f, j)] += obj_pages;
     }
@@ -75,7 +72,7 @@ Cluster::Cluster(ClusterConfig config, std::span<const trace::FileSpec> files)
   const std::uint64_t max_pages =
       *std::max_element(pages_per_osd.begin(), pages_per_osd.end());
   const auto capacity_bytes = static_cast<std::uint64_t>(
-      static_cast<double>(max_pages * page_size) /
+      static_cast<double>(max_pages * flash::kPageSize) /
       config_.target_max_utilization);
   const flash::FlashConfig sized =
       config_.flash.with_logical_capacity(std::max<std::uint64_t>(
@@ -94,8 +91,7 @@ Cluster::Cluster(ClusterConfig config, std::span<const trace::FileSpec> files)
   std::vector<Extent> extents;
   for (FileId f = 0; f < file_bytes_.size(); ++f) {
     const std::uint64_t obj_bytes = layout_.object_bytes(file_bytes_[f]);
-    const auto obj_pages =
-        static_cast<std::uint32_t>((obj_bytes + page_size - 1) / page_size);
+    const auto obj_pages = static_cast<std::uint32_t>(pages_of(obj_bytes));
     for (std::uint32_t j = 0; j < placement_.objects_per_file(); ++j) {
       const ObjectId oid = placement_.object_id(f, j);
       const OsdId home = placement_.default_osd(f, j);
@@ -112,10 +108,6 @@ Cluster::Cluster(ClusterConfig config, std::span<const trace::FileSpec> files)
         fast_[oid] = FastExtent{home, extents[0].first, extents[0].pages};
       }
     }
-  }
-
-  if ((page_size & (page_size - 1)) == 0) {
-    page_shift_ = std::countr_zero(page_size);
   }
 }
 
@@ -143,8 +135,6 @@ void Cluster::map_request(const trace::Record& record,
     layout_.map_read(offset, length, scratch);
   }
 
-  const std::uint32_t page_size = config_.flash.page_size;
-  const int page_shift = page_shift_;
   // Healthy cluster (the overwhelming case): no per-io failed-bit load.
   const bool degraded = any_failed();
   for (const ObjectIo& io : scratch) {
@@ -153,15 +143,9 @@ void Cluster::map_request(const trace::Record& record,
     out_io.osd = locate(oid);
     out_io.oid = oid;
     const std::uint64_t last_byte = io.offset + io.length - 1;
-    if (page_shift >= 0) {
-      out_io.first_page = static_cast<std::uint32_t>(io.offset >> page_shift);
-      out_io.pages = static_cast<std::uint32_t>(last_byte >> page_shift) -
-                     out_io.first_page + 1;
-    } else {
-      out_io.first_page = static_cast<std::uint32_t>(io.offset / page_size);
-      out_io.pages = static_cast<std::uint32_t>(last_byte / page_size) -
-                     out_io.first_page + 1;
-    }
+    out_io.first_page = static_cast<std::uint32_t>(io.offset >> kPageShift);
+    out_io.pages = static_cast<std::uint32_t>(last_byte >> kPageShift) -
+                   out_io.first_page + 1;
     out_io.is_write = io.is_write;
     out_io.is_parity = io.is_parity;
 
@@ -265,7 +249,7 @@ Cluster::MigrationAdmit Cluster::admit_migration_impl(ObjectId oid, OsdId dst) {
   const double post_util =
       static_cast<double>(target.store().allocated_pages() + pages) /
       static_cast<double>(target.capacity_pages());
-  if (post_util > config_.destination_utilization_cap) {
+  if (post_util > kDestinationUtilizationCap) {
     return MigrationAdmit::kOverCap;
   }
   if (!target.add_object(oid, pages)) return MigrationAdmit::kNoSpace;
@@ -342,7 +326,7 @@ std::optional<OsdId> Cluster::healthy_destination(ObjectId oid) const {
     const double post_util =
         static_cast<double>(target.store().allocated_pages() + pages) /
         static_cast<double>(target.capacity_pages());
-    if (post_util > config_.destination_utilization_cap) continue;
+    if (post_util > kDestinationUtilizationCap) continue;
     if (target.free_pages() < pages) continue;
     if (target.utilization() < best_util) {
       best_util = target.utilization();

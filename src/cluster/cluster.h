@@ -29,11 +29,21 @@ class Counter;
 
 namespace edm::cluster {
 
+/// RAID-5 stripe unit: bytes of one object per stripe.
+inline constexpr std::uint32_t kStripeUnit = 16 * 1024;
+static_assert(kStripeUnit % flash::kPageSize == 0,
+              "a stripe unit spans whole flash pages");
+
+/// Migration destinations must stay at or below this utilization, both
+/// when a policy plans a move and when the cluster admits it (paper
+/// SIII.B.5: "we guarantee that the free space in each destination device
+/// does not exceed a predefined threshold").
+inline constexpr double kDestinationUtilizationCap = 0.90;
+
 struct ClusterConfig {
   std::uint32_t num_osds = 16;
   std::uint32_t num_groups = 4;       // m
   std::uint32_t objects_per_file = 4; // k
-  std::uint32_t stripe_unit = 16 * 1024;
 
   /// Weighted grouping (paper SIII.D): when non-empty, each entry is one
   /// group's SSD count and overrides num_osds/num_groups.  Unequal sizes
@@ -47,12 +57,9 @@ struct ClusterConfig {
   /// percent").  The paper's ~70% is *physical* (valid/physical)
   /// utilization; this store-level (allocated/logical) target of 0.76
   /// lands there after the ~7% over-provisioning discount.
+  /// At most kDestinationUtilizationCap, or no device could ever receive
+  /// a migrated object.
   double target_max_utilization = 0.76;
-
-  /// Migration destinations must stay below this utilization (paper
-  /// SIII.B.5: "we guarantee that the free space in each destination device
-  /// does not exceed a predefined threshold").
-  double destination_utilization_cap = 0.90;
 
   /// Geometry/timing template; num_blocks is overridden per experiment by
   /// the dynamic capacity rule above.
@@ -162,7 +169,6 @@ class Cluster {
   /// Resolves a file-level request into per-OSD page I/Os (appended).
   void map_request(const trace::Record& record, std::vector<OsdIo>& out) const;
 
-  std::uint64_t file_bytes(FileId file) const { return file_bytes_[file]; }
   std::size_t file_count() const { return file_bytes_.size(); }
   std::uint64_t object_count() const {
     return file_bytes_.size() * placement_.objects_per_file();
@@ -231,7 +237,7 @@ class Cluster {
   OsdId migration_destination(ObjectId oid) const;
 
   /// Least-utilized healthy same-group peer that can accept `oid` under
-  /// the destination utilization cap, or nullopt.  Used to re-plan a
+  /// kDestinationUtilizationCap, or nullopt.  Used to re-plan a
   /// migration whose destination died mid-flight and to place rebuilt
   /// objects.
   std::optional<OsdId> healthy_destination(ObjectId oid) const;
@@ -275,7 +281,6 @@ class Cluster {
   bool osd_quarantined(OsdId id) const {
     return !quarantined_.empty() && quarantined_[id] != 0;
   }
-  bool any_quarantined() const { return num_quarantined_ != 0; }
   std::uint32_t quarantined_count() const { return num_quarantined_; }
 
   /// Files with two or more objects on failed OSDs are unreconstructable
@@ -379,10 +384,6 @@ class Cluster {
   // hot path keeps the O(1) resolution for nearly all I/O.
   std::vector<FastExtent> fast_;
   void drop_fast_extent(ObjectId oid) { fast_[oid].pages = 0; }
-  // log2(page_size) when the page size is a power of two (every stock
-  // config), letting map_request turn byte->page divisions into shifts;
-  // -1 falls back to division.
-  int page_shift_ = -1;
   RemapTable remap_;
   std::unordered_map<ObjectId, Move> in_flight_;
   std::uint64_t migrations_completed_ = 0;

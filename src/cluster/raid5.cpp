@@ -26,14 +26,6 @@ std::uint64_t Raid5Layout::object_bytes(std::uint64_t file_size) const {
   return stripe_count(file_size) * unit_;
 }
 
-std::uint32_t Raid5Layout::data_object(std::uint64_t data_unit) const {
-  const std::uint64_t stripe = data_unit / (k_ - 1);
-  const auto slot = static_cast<std::uint32_t>(data_unit % (k_ - 1));
-  const std::uint32_t parity = parity_object(stripe);
-  // Data slots fill the non-parity objects in ascending object order.
-  return slot < parity ? slot : slot + 1;
-}
-
 // Both mappers run once per replayed file request, so the per-unit
 // divisions are hoisted to the loop entry: after the first (possibly
 // unaligned) unit, unit_off is 0, the data slot advances by one per unit

@@ -63,9 +63,6 @@ class Raid5Layout {
                  std::vector<ObjectIo>& out) const;
 
  private:
-  /// Object index carrying data unit `d` (d-th stripe-unit of file data).
-  std::uint32_t data_object(std::uint64_t data_unit) const;
-
   std::uint32_t k_;
   std::uint32_t unit_;
 };

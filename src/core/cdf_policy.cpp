@@ -69,7 +69,7 @@ MigrationPlan CdfPolicy::plan(const ClusterView& view, bool force) {
         dests.push_back(
             {members[j],
              delta_u[j] * static_cast<double>(dev.capacity_pages),
-             free_page_budget(dev, cfg_.dest_utilization_cap)});
+             free_page_budget(dev)});
       }
     }
     if (dests.empty()) continue;

@@ -55,9 +55,7 @@ MigrationPlan CmtPolicy::plan(const ClusterView& view, bool force) {
       if (view.devices[i].quarantined) continue;
       const double deficit = s.mean - load[i];
       if (deficit > 0.0) {
-        dests.push_back({i, deficit,
-                         free_page_budget(view.devices[i],
-                                          cfg_.dest_utilization_cap)});
+        dests.push_back({i, deficit, free_page_budget(view.devices[i])});
       }
     }
     if (!dests.empty()) {
@@ -147,8 +145,7 @@ MigrationPlan CmtPolicy::plan(const ClusterView& view, bool force) {
                   if (a->pages != b->pages) return a->pages > b->pages;
                   return a->oid < b->oid;
                 });
-      std::int64_t budget =
-          free_page_budget(view.devices[lo], cfg_.dest_utilization_cap);
+      std::int64_t budget = free_page_budget(view.devices[lo]);
       double moved = 0.0;
       for (const ObjectView* o : bulk) {
         if (moved >= target_pages) break;

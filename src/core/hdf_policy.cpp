@@ -55,8 +55,7 @@ MigrationPlan HdfPolicy::plan(const ClusterView& view, bool force) {
       // never receive data (fail-slow mitigation).
       if (delta[j] > 0.0 && !view.devices[members[j]].quarantined) {
         dests.push_back({members[j], delta[j],
-                         free_page_budget(view.devices[members[j]],
-                                          cfg_.dest_utilization_cap)});
+                         free_page_budget(view.devices[members[j]])});
       }
     }
     if (dests.empty()) continue;

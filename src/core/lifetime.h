@@ -1,7 +1,7 @@
 // Endurance / lifetime estimation -- the quantity EDM ultimately protects.
 //
 // Each flash cell survives a limited number of program/erase cycles; with
-// (device-internal) wear levelling a device's life is pe_cycle_limit
+// (device-internal) wear levelling a device's life is kPeCycleLimit
 // block-erases per block.  Given the per-device erase counts accumulated
 // over a measured window, the device's erase *rate* extrapolates to a
 // time-to-wear-out; the cluster fails when its first device does, so wear
@@ -18,16 +18,16 @@
 
 namespace edm::core {
 
-struct EnduranceModel {
-  /// P/E cycles per block before the device is worn out (MLC-era NAND,
-  /// as deployed when the paper was written: ~3000).
-  std::uint32_t pe_cycle_limit = 3000;
+/// P/E cycles per block before the device is worn out (MLC-era NAND, as
+/// deployed when the paper was written: ~3000).
+inline constexpr std::uint32_t kPeCycleLimit = 3000;
 
-  /// Blocks per device (total erase budget = blocks * limit).
+struct EnduranceModel {
+  /// Blocks per device (total erase budget = blocks * kPeCycleLimit).
   std::uint32_t num_blocks = 2048;
 
   double total_erase_budget() const {
-    return static_cast<double>(pe_cycle_limit) * num_blocks;
+    return static_cast<double>(kPeCycleLimit) * num_blocks;
   }
 };
 

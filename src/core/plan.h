@@ -20,11 +20,6 @@ struct MigrationAction {
 struct MigrationPlan {
   std::vector<MigrationAction> actions;
 
-  std::uint64_t total_pages() const {
-    std::uint64_t total = 0;
-    for (const auto& a : actions) total += a.pages;
-    return total;
-  }
   std::size_t moved_objects() const { return actions.size(); }
   bool empty() const { return actions.empty(); }
 };

@@ -30,9 +30,6 @@ struct PolicyConfig {
 
   /// Algorithm 1 parameters.
   BalanceParams balance{};
-
-  /// Destinations may not be planned beyond this projected utilization.
-  double dest_utilization_cap = 0.90;
 };
 
 class MigrationPolicy {

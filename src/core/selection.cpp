@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "cluster/cluster.h"
+
 namespace edm::core {
 
 std::vector<std::vector<std::uint32_t>> partition_by_group(
@@ -21,9 +23,10 @@ std::vector<std::vector<std::uint32_t>> partition_by_group(
   return groups;
 }
 
-std::int64_t free_page_budget(const DeviceView& device, double cap) {
+std::int64_t free_page_budget(const DeviceView& device) {
   const auto max_allocated = static_cast<std::int64_t>(
-      cap * static_cast<double>(device.capacity_pages));
+      cluster::kDestinationUtilizationCap *
+      static_cast<double>(device.capacity_pages));
   const auto allocated = static_cast<std::int64_t>(device.capacity_pages -
                                                    device.free_pages);
   return max_allocated - allocated;

@@ -27,9 +27,10 @@ struct DestinationQuota {
   std::int64_t free_page_budget = 0;
 };
 
-/// Computes the page budget a destination can accept before crossing the
-/// projected-utilization cap.
-std::int64_t free_page_budget(const DeviceView& device, double cap);
+/// Computes the page budget a destination can accept before its projected
+/// utilization crosses cluster::kDestinationUtilizationCap, the cap the
+/// cluster enforces again when it admits the move.
+std::int64_t free_page_budget(const DeviceView& device);
 
 /// Picks the destination with the largest remaining quota that can still fit
 /// `pages`, charges it `weight` quota + `pages` budget, and returns its

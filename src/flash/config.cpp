@@ -13,7 +13,7 @@ std::uint64_t FlashConfig::logical_pages() const {
       std::floor(static_cast<double>(physical) * (1.0 - op_ratio)));
   // GC needs spare blocks to relocate into; never expose them to the host.
   const std::uint64_t reserved =
-      static_cast<std::uint64_t>(gc_low_water + 1) * pages_per_block;
+      static_cast<std::uint64_t>(kGcLowWater + 1) * pages_per_block;
   if (physical <= reserved) return 0;
   return std::min(logical, physical - reserved);
 }
@@ -22,7 +22,6 @@ void FlashConfig::validate() const {
   auto fail = [](const std::string& what) {
     throw std::invalid_argument("FlashConfig: " + what);
   };
-  if (page_size == 0) fail("page_size must be > 0");
   if (pages_per_block == 0) fail("pages_per_block must be > 0");
   if (pages_per_block > 65535) {
     // Per-block valid/write-ptr counters are 16-bit (SoA layout in Ssd).
@@ -30,7 +29,6 @@ void FlashConfig::validate() const {
   }
   if (num_blocks == 0) fail("num_blocks must be > 0");
   if (op_ratio < 0.0 || op_ratio >= 1.0) fail("op_ratio must be in [0, 1)");
-  if (gc_low_water < 2) fail("gc_low_water must be >= 2");
   if (geometry.channels == 0) fail("geometry.channels must be > 0");
   if (geometry.dies_per_channel == 0) {
     fail("geometry.dies_per_channel must be > 0");
@@ -61,13 +59,13 @@ void FlashConfig::validate() const {
 
 FlashConfig FlashConfig::with_logical_capacity(std::uint64_t bytes) const {
   FlashConfig out = *this;
-  const std::uint64_t wanted_pages = (bytes + page_size - 1) / page_size;
+  const std::uint64_t wanted_pages = (bytes + kPageSize - 1) / kPageSize;
   // logical = physical*(1-op) (minus reserve); solve for blocks and then
   // nudge upward until the reserve constraint is also met.
   auto blocks = static_cast<std::uint32_t>(std::ceil(
       static_cast<double>(wanted_pages) /
       ((1.0 - op_ratio) * pages_per_block)));
-  out.num_blocks = std::max(blocks, gc_low_water + 2);
+  out.num_blocks = std::max(blocks, kGcLowWater + 2);
   while (out.logical_pages() < wanted_pages) ++out.num_blocks;
   const std::uint32_t domains = out.allocation_domains();
   if (domains > 1) {

@@ -1,16 +1,33 @@
 // Flash device geometry and timing configuration.
 //
-// Defaults follow the paper's setup (SIV): 4 KB pages, 128 KB blocks
-// (32 pages/block), page read 25 us, page write 200 us, block erase 2 ms,
-// page-level FTL with greedy garbage collection.
+// The constants and defaults follow the paper's setup (SIV): 4 KB pages,
+// 128 KB blocks (32 pages/block), page read 25 us, page write 200 us,
+// block erase 2 ms, page-level FTL with greedy garbage collection.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 
 #include "util/types.h"
 
 namespace edm::flash {
+
+/// Bytes per flash page, the read/program unit (paper SIV: 4 KB).
+inline constexpr std::uint32_t kPageSize = 4096;
+static_assert(std::has_single_bit(kPageSize),
+              "byte-to-page mapping shifts by log2(kPageSize)");
+
+/// Garbage collection starts when the free-block pool drops below this
+/// many blocks, and runs until it is back above it.
+inline constexpr std::uint32_t kGcLowWater = 4;
+static_assert(kGcLowWater >= 2, "GC needs a relocation destination");
+
+/// Device timing (simulated microseconds, paper SIV): page read, page
+/// program, block erase.
+inline constexpr SimDuration kPageReadUs = 25;
+inline constexpr SimDuration kPageWriteUs = 200;
+inline constexpr SimDuration kBlockEraseUs = 2000;
 
 /// Internal-parallelism geometry: channels x dies/channel x planes/die.
 /// The unit of parallel timing is one plane (a "LUN" here): every LUN has
@@ -33,9 +50,6 @@ struct FlashGeometry {
 };
 
 struct FlashConfig {
-  /// Bytes per flash page (read/program unit).
-  std::uint32_t page_size = 4096;
-
   /// Pages per erase block.  32 x 4 KB = 128 KB blocks, as in the paper.
   std::uint32_t pages_per_block = 32;
 
@@ -45,16 +59,6 @@ struct FlashConfig {
   /// Over-provisioning ratio: fraction of physical pages hidden from the
   /// logical address space.  Commodity SSDs reserve ~7%.
   double op_ratio = 0.07;
-
-  /// Garbage collection starts when the free-block pool drops below this
-  /// many blocks, and runs until it is back above it.  Must be >= 2 so that
-  /// GC always has a relocation destination.
-  std::uint32_t gc_low_water = 4;
-
-  /// Device timing constants (simulated microseconds).
-  SimDuration page_read_us = 25;
-  SimDuration page_write_us = 200;
-  SimDuration block_erase_us = 2000;
 
   /// Internal-parallelism geometry (channels x dies x planes).  The flat
   /// default (1x1x1 with zero bus delays) is byte-identical to the paper's
@@ -86,13 +90,13 @@ struct FlashConfig {
     return parallel_timing() ? geometry.luns() : 1;
   }
 
-  /// Per-domain GC low-water mark.  The flat device uses gc_low_water
+  /// Per-domain GC low-water mark.  The flat device uses kGcLowWater
   /// verbatim; parallel domains divide it (floored at 2 so every domain
   /// always has a relocation destination plus one block of slack).
   std::uint32_t domain_low_water() const {
     const std::uint32_t domains = allocation_domains();
-    if (domains <= 1) return gc_low_water;
-    return std::max<std::uint32_t>(2, gc_low_water / domains);
+    if (domains <= 1) return kGcLowWater;
+    return std::max<std::uint32_t>(2, kGcLowWater / domains);
   }
 
   /// Hot/cold separation: when true, GC relocations are appended to their
@@ -115,13 +119,13 @@ struct FlashConfig {
     return static_cast<std::uint64_t>(num_blocks) * pages_per_block;
   }
 
-  /// Pages exposed to the host.  Rounded down so at least gc_low_water + 1
+  /// Pages exposed to the host.  Rounded down so at least kGcLowWater + 1
   /// blocks worth of slack always exists.
   std::uint64_t logical_pages() const;
 
-  std::uint64_t logical_bytes() const { return logical_pages() * page_size; }
+  std::uint64_t logical_bytes() const { return logical_pages() * kPageSize; }
   std::uint64_t block_bytes() const {
-    return static_cast<std::uint64_t>(pages_per_block) * page_size;
+    return static_cast<std::uint64_t>(pages_per_block) * kPageSize;
   }
 
   /// Throws std::invalid_argument when the geometry is unusable (e.g. no

@@ -73,8 +73,8 @@ std::uint32_t Ssd::free_blocks() const {
 SimDuration Ssd::read(Lpn lpn) {
   assert(lpn < l2p_.size());
   ++stats_.host_page_reads;
-  stats_.busy_time_us += config_.page_read_us;
-  return config_.page_read_us;
+  stats_.busy_time_us += kPageReadUs;
+  return kPageReadUs;
 }
 
 SimDuration Ssd::maybe_collect_for_write(std::uint32_t dom) {
@@ -112,8 +112,8 @@ SimDuration Ssd::write(Lpn lpn) {
   invalidate(lpn);
   append_page(lpn, dom);
   ++stats_.host_page_writes;
-  elapsed += config_.page_write_us;
-  stats_.busy_time_us += config_.page_write_us;  // GC added its own share.
+  elapsed += kPageWriteUs;
+  stats_.busy_time_us += kPageWriteUs;  // GC added its own share.
   return elapsed;
 }
 
@@ -128,12 +128,11 @@ SimDuration Ssd::trim(Lpn lpn) {
 
 SimDuration Ssd::read_range(Lpn first, std::uint32_t pages) {
   // Reads never mutate the mapping, so the per-page loop folds into pure
-  // arithmetic: `pages` reads cost exactly pages * page_read_us of device
+  // arithmetic: `pages` reads cost exactly pages * kPageReadUs of device
   // time regardless of mapping state.
   assert(pages == 0 || static_cast<std::size_t>(first) + pages <= l2p_.size());
   stats_.host_page_reads += pages;
-  const SimDuration total =
-      static_cast<SimDuration>(config_.page_read_us) * pages;
+  const SimDuration total = kPageReadUs * pages;
   stats_.busy_time_us += total;
   return total;
 }
@@ -153,8 +152,7 @@ SimDuration Ssd::write_range(Lpn first, std::uint32_t pages) {
       append_page(first + i, dom);
     }
     stats_.host_page_writes += pages;
-    const SimDuration write_us =
-        static_cast<SimDuration>(config_.page_write_us) * pages;
+    const SimDuration write_us = kPageWriteUs * pages;
     stats_.busy_time_us += write_us;
     return gc_total + write_us;
   }
@@ -169,7 +167,7 @@ SimDuration Ssd::write_range(Lpn first, std::uint32_t pages) {
   while (done < pages) {
     const std::size_t pool = domains_[0].free_blocks.size();
     const std::size_t spare =
-        pool > config_.gc_low_water ? pool - config_.gc_low_water : 0;
+        pool > kGcLowWater ? pool - kGcLowWater : 0;
     // k appends pop at most floor(k / pages_per_block) + 1 free blocks, so
     // spare * pages_per_block - 1 pages cannot drain the pool below the
     // low-water mark.
@@ -194,8 +192,7 @@ SimDuration Ssd::write_range(Lpn first, std::uint32_t pages) {
     done += stretch;
   }
   stats_.host_page_writes += pages;
-  const SimDuration write_us =
-      static_cast<SimDuration>(config_.page_write_us) * pages;
+  const SimDuration write_us = kPageWriteUs * pages;
   stats_.busy_time_us += write_us;
   return gc_total + write_us;
 }
@@ -210,7 +207,7 @@ SimTime Ssd::read_page_at(SimTime t, std::uint32_t lun) {
   die_ready_[die] = cmd_end;
   // Array sense on the plane; other planes of the die proceed in parallel.
   const SimTime array_end =
-      std::max(cmd_end, plane_ready_[lun]) + config_.page_read_us;
+      std::max(cmd_end, plane_ready_[lun]) + kPageReadUs;
   plane_ready_[lun] = array_end;
   // Data-out back over the shared channel bus.
   const SimTime out_end =
@@ -233,7 +230,7 @@ SimTime Ssd::write_page_at(SimTime t, std::uint32_t lun, SimDuration gc_us) {
     plane_ready_[lun] = std::max(plane_ready_[lun], start) + gc_us;
   }
   const SimTime prog_end =
-      std::max(xfer_end, plane_ready_[lun]) + config_.page_write_us;
+      std::max(xfer_end, plane_ready_[lun]) + kPageWriteUs;
   plane_ready_[lun] = prog_end;
   return prog_end;
 }
@@ -244,8 +241,7 @@ SimDuration Ssd::read_range_at(SimTime at, Lpn first, std::uint32_t pages) {
   stats_.host_page_reads += pages;
   // busy_time_us stays the serial sum of array work: it is the per-LUN
   // utilization aggregate the wear/load monitors consume, not wall clock.
-  stats_.busy_time_us +=
-      static_cast<SimDuration>(config_.page_read_us) * pages;
+  stats_.busy_time_us += kPageReadUs * pages;
   SimTime done = at;
   for (std::uint32_t i = 0; i < pages; ++i) {
     const Lpn lpn = first + i;
@@ -275,8 +271,7 @@ SimDuration Ssd::write_range_at(SimTime at, Lpn first, std::uint32_t pages) {
     done = std::max(done, write_page_at(at, dom, gc_us));
   }
   stats_.host_page_writes += pages;
-  stats_.busy_time_us +=
-      static_cast<SimDuration>(config_.page_write_us) * pages;
+  stats_.busy_time_us += kPageWriteUs * pages;
   return done - at;
 }
 
@@ -424,7 +419,7 @@ SimDuration Ssd::collect_garbage(std::uint32_t dom_idx) {
       --valid_pages_;
       append_page(lpn, dom_idx, /*gc_stream=*/true);
       ++stats_.gc_page_moves;
-      elapsed += config_.page_read_us + config_.page_write_us;
+      elapsed += kPageReadUs + kPageWriteUs;
     }
 
     // Erase and return to the domain's free pool.
@@ -435,7 +430,7 @@ SimDuration Ssd::collect_garbage(std::uint32_t dom_idx) {
     dom.free_blocks.push_back(vb);
     ++stats_.erase_count;
     ++block_erases_[vb];
-    elapsed += config_.block_erase_us;
+    elapsed += kBlockEraseUs;
   }
   stats_.busy_time_us += elapsed;
   gc_active_ = false;
@@ -498,19 +493,6 @@ void Ssd::attach_telemetry(telemetry::Recorder* recorder,
                          "osd" + std::to_string(device_id));
     }
   }
-}
-
-std::size_t Ssd::metadata_bytes() const {
-  std::size_t pool_bytes = 0;
-  for (const Domain& dom : domains_) {
-    pool_bytes += dom.free_blocks.capacity() * sizeof(std::uint32_t);
-  }
-  return l2p_.backing_bytes() + p2l_.backing_bytes() +
-         valid_bits_.backing_bytes() + block_open_.backing_bytes() +
-         block_valid_.capacity() * sizeof(std::uint16_t) +
-         block_write_ptr_.capacity() * sizeof(std::uint16_t) +
-         block_sealed_at_.capacity() * sizeof(std::uint64_t) +
-         block_erases_.capacity() * sizeof(std::uint32_t) + pool_bytes;
 }
 
 bool Ssd::check_invariants() const {

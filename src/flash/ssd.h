@@ -123,10 +123,6 @@ class Ssd {
     return block_erases_[block];
   }
 
-  /// Resident bytes of the per-page/per-block metadata tables (L2P, P2L,
-  /// validity bitmap, SoA block state).  Exposed for memory accounting.
-  std::size_t metadata_bytes() const;
-
   /// Internal-consistency audit used by tests: recomputes valid counts from
   /// the mapping and cross-checks every block's bookkeeping.  Returns true
   /// when consistent.

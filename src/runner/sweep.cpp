@@ -1,10 +1,10 @@
 #include "runner/sweep.h"
 
+#include <cstdio>
 #include <fstream>
 
 #include "runner/progress.h"
 #include "runner/seed.h"
-#include "util/log.h"
 #include "util/thread_pool.h"
 
 namespace edm::runner {
@@ -47,13 +47,17 @@ void write_run_outputs(const sim::RunResult& result,
   if (const auto* tracer = tel->tracer();
       tracer != nullptr && !sinks.trace_out.empty()) {
     if (tracer->dropped() > 0) {
-      EDM_WARN << "trace for run " << index << " dropped " << tracer->dropped()
-               << " events (cap " << telemetry::kMaxTraceEvents << ")";
+      std::fprintf(stderr,
+                   "[edm WARN ] trace for run %zu dropped %llu events "
+                   "(cap %zu)\n",
+                   index, static_cast<unsigned long long>(tracer->dropped()),
+                   telemetry::kMaxTraceEvents);
     }
     const std::string path = indexed_path(sinks.trace_out, index, total);
     std::ofstream os(path);
     if (!os) {
-      EDM_WARN << "cannot write trace file " << path;
+      std::fprintf(stderr, "[edm WARN ] cannot write trace file %s\n",
+                   path.c_str());
     } else {
       tracer->write_chrome_json(os);
     }
@@ -63,7 +67,8 @@ void write_run_outputs(const sim::RunResult& result,
     const std::string path = indexed_path(sinks.timeseries_out, index, total);
     std::ofstream os(path);
     if (!os) {
-      EDM_WARN << "cannot write time-series file " << path;
+      std::fprintf(stderr, "[edm WARN ] cannot write time-series file %s\n",
+                   path.c_str());
     } else {
       sampler->write_csv(os);
     }

@@ -151,7 +151,6 @@ class FaultInjector {
   bool osd_slow(OsdId osd) const {
     return slow_[osd].factor > 1.0 || slow_[osd].stall_rate > 0.0;
   }
-  double slow_factor(OsdId osd) const { return slow_[osd].factor; }
   /// Degrades one sub-request's service time on `osd`: multiplies by the
   /// device's slowdown factor and adds an intermittent stall when the
   /// seeded stall stream fires.  Identity for healthy devices.

@@ -2,48 +2,21 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
 namespace edm::sim {
 
 void HealthConfig::validate() const {
-  if (latency_alpha <= 0.0 || latency_alpha > 1.0) {
-    throw std::invalid_argument(
-        "HealthConfig: latency_alpha must be in (0, 1], got " +
-        std::to_string(latency_alpha));
-  }
-  if (flag_ratio <= 1.0) {
-    throw std::invalid_argument(
-        "HealthConfig: flag_ratio must be > 1 (an EWMA at the median is "
-        "healthy), got " + std::to_string(flag_ratio));
-  }
-  if (clear_ratio < 1.0 || clear_ratio >= flag_ratio) {
-    throw std::invalid_argument(
-        "HealthConfig: clear_ratio must be in [1, flag_ratio) for "
-        "hysteresis, got " + std::to_string(clear_ratio));
-  }
   if (check_interval_us == 0) {
     throw std::invalid_argument(
         "HealthConfig: check_interval_us must be > 0");
   }
-  if (hedge_deadline_us == 0) {
-    throw std::invalid_argument(
-        "HealthConfig: hedge_deadline_us must be > 0");
-  }
-  if (flag_streak == 0) {
-    throw std::invalid_argument(
-        "HealthConfig: flag_streak must be >= 1 (checks before flagging)");
-  }
 }
 
-HealthMonitor::HealthMonitor(const HealthConfig& cfg, std::uint32_t num_osds)
-    : cfg_(cfg),
-      ewma_(num_osds, util::Ewma(cfg.latency_alpha)),
+HealthMonitor::HealthMonitor(std::uint32_t num_osds)
+    : ewma_(num_osds, util::Ewma(kLatencyAlpha)),
       flagged_(num_osds, 0),
       ever_flagged_(num_osds, 0),
-      streak_(num_osds, 0) {
-  cfg_.validate();
-}
+      streak_(num_osds, 0) {}
 
 void HealthMonitor::evaluate(SimTime now, std::vector<Transition>& out) {
   ++checks_;
@@ -51,17 +24,9 @@ void HealthMonitor::evaluate(SimTime now, std::vector<Transition>& out) {
   // both as flag candidates and in each other's baselines.
   scoreable_scratch_.clear();
   for (OsdId i = 0; i < static_cast<OsdId>(ewma_.size()); ++i) {
-    if (ewma_[i].count() >= cfg_.min_samples) scoreable_scratch_.push_back(i);
+    if (ewma_[i].count() >= kMinSamples) scoreable_scratch_.push_back(i);
   }
   if (scoreable_scratch_.size() < 2) return;  // no peers to compare against
-
-  // Whole-fleet median, exported for telemetry only.
-  median_scratch_.clear();
-  for (OsdId i : scoreable_scratch_) median_scratch_.push_back(ewma_[i].value());
-  const std::size_t fmid = (median_scratch_.size() - 1) / 2;
-  std::nth_element(median_scratch_.begin(), median_scratch_.begin() + fmid,
-                   median_scratch_.end());
-  last_median_ = median_scratch_[fmid];
 
   for (OsdId i : scoreable_scratch_) {
     const double v = ewma_[i].value();
@@ -77,8 +42,8 @@ void HealthMonitor::evaluate(SimTime now, std::vector<Transition>& out) {
                      median_scratch_.end());
     const double median = median_scratch_[mid];
     if (median <= 0.0) continue;
-    if (!flagged_[i] && v > cfg_.flag_ratio * median) {
-      if (++streak_[i] < cfg_.flag_streak) continue;  // debounce
+    if (!flagged_[i] && v > kFlagRatio * median) {
+      if (++streak_[i] < kFlagStreak) continue;  // debounce
       flagged_[i] = 1;
       ever_flagged_[i] = 1;
       ++num_flagged_;
@@ -87,7 +52,7 @@ void HealthMonitor::evaluate(SimTime now, std::vector<Transition>& out) {
       out.push_back({i, true});
     } else if (!flagged_[i]) {
       streak_[i] = 0;  // excursion over before the streak completed
-    } else if (flagged_[i] && v < cfg_.clear_ratio * median) {
+    } else if (flagged_[i] && v < kClearRatio * median) {
       flagged_[i] = 0;
       streak_[i] = 0;
       --num_flagged_;

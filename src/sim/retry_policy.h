@@ -15,32 +15,28 @@
 
 namespace edm::sim {
 
+/// Delay before the first retry; each further failed attempt doubles it,
+/// up to kMaxBackoffUs.
+inline constexpr SimDuration kBaseBackoffUs = 500;
+inline constexpr double kBackoffMultiplier = 2.0;
+inline constexpr SimDuration kMaxBackoffUs = 100 * 1000;
+static_assert(kBackoffMultiplier >= 1.0 && kMaxBackoffUs >= kBaseBackoffUs);
+
 struct RetryPolicy {
   /// Total tries per sub-request, the first attempt included.  A request
   /// that fails `max_attempts` times is abandoned (counted, op completes).
   std::uint32_t max_attempts = 4;
 
-  /// Delay before the first retry.
-  SimDuration base_backoff_us = 500;
-
-  /// Backoff growth per failed attempt (>= 1).
-  double multiplier = 2.0;
-
-  /// Hard ceiling on a single backoff interval.
-  SimDuration max_backoff_us = 100 * 1000;
-
   /// Backoff before retry number `attempt` (1-based: the delay after the
-  /// attempt-th failure).  Exponential in the attempt index, capped.
-  SimDuration backoff_us(std::uint32_t attempt) const {
-    double delay = static_cast<double>(base_backoff_us);
+  /// attempt-th failure): kBaseBackoffUs * 2^(attempt-1), capped at
+  /// kMaxBackoffUs.
+  static SimDuration backoff_us(std::uint32_t attempt) {
+    double delay = static_cast<double>(kBaseBackoffUs);
     for (std::uint32_t i = 1; i < attempt; ++i) {
-      delay *= multiplier;
-      if (delay >= static_cast<double>(max_backoff_us)) {
-        return max_backoff_us;
-      }
+      delay *= kBackoffMultiplier;
+      if (delay >= static_cast<double>(kMaxBackoffUs)) return kMaxBackoffUs;
     }
-    const auto out = static_cast<SimDuration>(delay);
-    return out > max_backoff_us ? max_backoff_us : out;
+    return static_cast<SimDuration>(delay);
   }
 
   /// True when a request that has failed `attempts` times is out of tries.
@@ -51,16 +47,6 @@ struct RetryPolicy {
   void validate() const {
     if (max_attempts == 0) {
       throw std::invalid_argument("RetryPolicy: max_attempts must be > 0");
-    }
-    if (base_backoff_us == 0) {
-      throw std::invalid_argument("RetryPolicy: base_backoff_us must be > 0");
-    }
-    if (multiplier < 1.0) {
-      throw std::invalid_argument("RetryPolicy: multiplier must be >= 1");
-    }
-    if (max_backoff_us < base_backoff_us) {
-      throw std::invalid_argument(
-          "RetryPolicy: max_backoff_us must be >= base_backoff_us");
     }
   }
 };

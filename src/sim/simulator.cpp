@@ -10,7 +10,6 @@
 
 #include "telemetry/telemetry.h"
 #include "trace/cursor.h"
-#include "util/log.h"
 
 namespace edm::sim {
 
@@ -41,6 +40,10 @@ constexpr std::uint32_t kDrainMaxObjects = 128;
 /// Devices quarantined at once; flags beyond the cap are hedged around but
 /// not drained (see apply_health_transition).
 constexpr std::uint32_t kMaxQuarantined = 1;
+
+/// A client read sitting on a flagged OSD this long past its enqueue fires
+/// a hedged RAID-5 reconstruction read (first completion wins).
+constexpr SimDuration kHedgeDeadlineUs = 20 * 1000;
 
 /// Pacing/backoff events carry the lane id and its generation so that a
 /// resume scheduled for an aborted lane incarnation is dropped instead of
@@ -149,8 +152,7 @@ Simulator::Simulator(SimConfig config, cluster::Cluster& cluster,
         std::make_unique<FaultInjector>(cfg_.faults, cluster_.num_osds());
   }
   if (cfg_.health.enabled) {
-    monitor_ =
-        std::make_unique<HealthMonitor>(cfg_.health, cluster_.num_osds());
+    monitor_ = std::make_unique<HealthMonitor>(cluster_.num_osds());
     hedge_enabled_ = cfg_.health.mitigate;
   }
   rebuild_lanes_.resize(kRebuildLanes);
@@ -961,8 +963,8 @@ void Simulator::on_copy_chunk_complete(const SubRequest& req, SimTime now) {
     const double mbps = rebuild ? kRebuildLaneMbps : cfg_.mover_lane_mbps;
     SimDuration pace = 0;
     if (mbps > 0.0) {
-      const double bytes = static_cast<double>(lane.chunk_pages) *
-                           cluster_.config().flash.page_size;
+      const double bytes =
+          static_cast<double>(lane.chunk_pages) * flash::kPageSize;
       pace = static_cast<SimDuration>(bytes / mbps);  // us
     }
     if (pace > 0) {
@@ -1357,7 +1359,7 @@ void Simulator::arm_hedge(SubRequest& req, SimTime now) {
   h.peers_outstanding = 0;
   h.fired = h.resolved = h.primary_done = h.peers_failed = false;
   req.hedge = slot;
-  events_.push(now + cfg_.health.hedge_deadline_us, EventKind::kHedgeDeadline,
+  events_.push(now + kHedgeDeadlineUs, EventKind::kHedgeDeadline,
                lane_payload(slot, h.gen));
 }
 
@@ -1429,12 +1431,11 @@ bool Simulator::settle_hedge(const SubRequest& req, Ending end) {
 
 void Simulator::on_telemetry_sample(SimTime now) {
   telemetry::SampleRow& row = tel_sampler_->add_row(now);
-  const std::uint64_t page_size = cluster_.config().flash.page_size;
   for (const auto& lane : lanes_) {
     if (!lane.active) continue;
     row.inflight_migration_bytes +=
         static_cast<std::uint64_t>(lane.copy.pages - lane.pages_done) *
-        page_size;
+        flash::kPageSize;
   }
   row.osds.resize(servers_.size());
   for (std::uint32_t i = 0; i < servers_.size(); ++i) {
@@ -1492,20 +1493,13 @@ void Simulator::record_response(SimTime now, SimDuration response_us) {
     tel_response_hist_->observe(static_cast<std::uint64_t>(response_us));
   }
   // Completions arrive in event-time order, so the window index advances
-  // incrementally -- no per-op division.  The rare non-monotonic caller
-  // (none today) would fall back to the exact division.
-  std::size_t window;
-  if (now >= window_end_) {
-    do {
-      ++cur_window_;
-      window_end_ += cfg_.response_window_us;
-    } while (now >= window_end_);
-    window = cur_window_;
-  } else if (now + cfg_.response_window_us >= window_end_) {
-    window = cur_window_;
-  } else {
-    window = static_cast<std::size_t>(now / cfg_.response_window_us);
+  // incrementally -- no per-op division.
+  while (now >= window_end_) {
+    ++cur_window_;
+    window_end_ += cfg_.response_window_us;
   }
+  assert(now + cfg_.response_window_us >= window_end_);
+  const std::size_t window = cur_window_;
   if (window >= window_count_.size()) {
     window_count_.resize(window + 1, 0);
     window_sum_us_.resize(window + 1, 0.0);

@@ -182,8 +182,6 @@ class Simulator {
   /// Snapshot assembly, exposed for tests and for out-of-band planning.
   core::ClusterView build_view() const;
 
-  const core::AccessTracker& access_tracker() const { return tracker_; }
-
   /// Sigma of the policy's wear model: the last fit installed before a
   /// plan (adaptive mode), else the configured value.  No fresh fit.
   double current_sigma() const;

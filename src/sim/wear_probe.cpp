@@ -13,6 +13,13 @@ namespace edm::sim {
 
 namespace {
 
+/// Churn volume in multiples of physical capacity; the first half warms the
+/// device to steady state, the second half is measured.
+constexpr double kChurnMultiplier = 3.0;
+
+/// Salt for the probe's file sizes and write stream.
+constexpr std::uint64_t kProbeSeed = 1;
+
 /// One pre-created "file" mapped to a contiguous LPN extent.
 struct ProbeFile {
   Lpn first_page = 0;
@@ -75,10 +82,11 @@ class WriteSampler {
     }
     f.cursor = offset + size;
 
-    const std::uint32_t page_size = ssd.config().page_size;
-    const Lpn first = f.first_page + static_cast<Lpn>(offset / page_size);
+    const Lpn first =
+        f.first_page + static_cast<Lpn>(offset / flash::kPageSize);
     const auto last_byte = offset + size - 1;
-    const Lpn last = f.first_page + static_cast<Lpn>(last_byte / page_size);
+    const Lpn last =
+        f.first_page + static_cast<Lpn>(last_byte / flash::kPageSize);
     const std::uint32_t pages = last - first + 1;
     ssd.write_range(first, pages);
     return pages;
@@ -105,7 +113,7 @@ WearProbeResult run_wear_probe(const trace::WorkloadProfile& profile,
   const auto target_pages = static_cast<std::uint64_t>(
       config.utilization * static_cast<double>(fcfg.physical_pages()));
   trace::WorkloadProfile sizing = profile;
-  sizing.seed ^= config.seed * 0x9E3779B97F4A7C15ULL;
+  sizing.seed ^= kProbeSeed * 0x9E3779B97F4A7C15ULL;
   // Generate sizes directly with the same lognormal the generator uses.
   util::Xoshiro256 size_rng(sizing.seed);
   std::vector<ProbeFile> files;
@@ -122,8 +130,8 @@ WearProbeResult run_wear_probe(const trace::WorkloadProfile& profile,
     }
     const std::uint64_t bytes = std::clamp<std::uint64_t>(
         static_cast<std::uint64_t>(bytes_d), 8 * 1024, 256ull << 20);
-    const auto pages =
-        static_cast<std::uint32_t>((bytes + fcfg.page_size - 1) / fcfg.page_size);
+    const auto pages = static_cast<std::uint32_t>(
+        (bytes + flash::kPageSize - 1) / flash::kPageSize);
     if (placed + pages > target_pages ||
         next_page + pages > fcfg.logical_pages()) {
       // Trim the last file to land exactly on the target.
@@ -131,7 +139,7 @@ WearProbeResult run_wear_probe(const trace::WorkloadProfile& profile,
           target_pages - placed, fcfg.logical_pages() - next_page));
       if (remaining < 2) break;
       files.push_back({next_page, remaining,
-                       std::uint64_t{remaining} * fcfg.page_size, 0});
+                       std::uint64_t{remaining} * flash::kPageSize, 0});
       placed += remaining;
       break;
     }
@@ -143,9 +151,9 @@ WearProbeResult run_wear_probe(const trace::WorkloadProfile& profile,
   // Populate (write every allocated page once), then churn.
   for (const auto& f : files) ssd.write_range(f.first_page, f.pages);
 
-  WriteSampler sampler(profile, std::move(files), config.seed * 7919 + 1);
+  WriteSampler sampler(profile, std::move(files), kProbeSeed * 7919 + 1);
   const auto churn_target = static_cast<std::uint64_t>(
-      config.churn_multiplier * static_cast<double>(fcfg.physical_pages()));
+      kChurnMultiplier * static_cast<double>(fcfg.physical_pages()));
   // Warm-up half, then measure.
   std::uint64_t written = 0;
   while (written < churn_target / 2) written += sampler.write_once(ssd);

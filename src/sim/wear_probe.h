@@ -17,10 +17,6 @@ namespace edm::sim {
 struct WearProbeConfig {
   flash::FlashConfig flash;   // geometry; defaults are fine
   double utilization = 0.7;   // target valid/physical ratio
-  /// Churn volume in multiples of physical capacity; the first half warms
-  /// the device to steady state, the second half is measured.
-  double churn_multiplier = 3.0;
-  std::uint64_t seed = 1;
 };
 
 struct WearProbeResult {

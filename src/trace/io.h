@@ -92,7 +92,6 @@ class TraceReader {
   const std::string& name() const { return name_; }
   const std::vector<FileSpec>& files() const { return files_; }
   std::uint64_t record_count() const { return record_count_; }
-  std::uint64_t records_read() const { return records_read_; }
 
   /// Reads the next record into `out`; returns false at end of trace.
   /// Throws std::runtime_error on a truncated stream, and on a record whose

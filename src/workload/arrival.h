@@ -80,7 +80,6 @@ class ArrivalProcess {
   /// Effective (modulated) rate at simulated time `t_us`, in ops/s.
   double rate_at(double t_us) const;
 
-  double base_rate() const { return rate_; }
   ArrivalKind kind() const { return kind_; }
 
  private:

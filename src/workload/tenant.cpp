@@ -128,8 +128,8 @@ trace::WorkloadProfile tenant_profile(const TenantSpec& spec,
                                       std::size_t index) {
   trace::WorkloadProfile profile =
       trace::profile_by_name(spec.profile).scaled(spec.scale);
-  profile.seed ^= seed_offset ^ spec.seed_offset ^
-                  (kStreamSalt * static_cast<std::uint64_t>(index + 1));
+  profile.seed ^=
+      seed_offset ^ (kStreamSalt * static_cast<std::uint64_t>(index + 1));
   return profile;
 }
 
@@ -148,7 +148,7 @@ OpenLoopSource::OpenLoopSource(const OpenLoopConfig& config,
   for (std::size_t i = 0; i < cfg_.tenants.size(); ++i) {
     const TenantSpec& spec = cfg_.tenants[i];
     const std::uint64_t arrival_seed =
-        cfg_.arrival_seed ^ seed_offset_ ^ spec.seed_offset ^
+        cfg_.arrival_seed ^ seed_offset_ ^
         (kArrivalSalt * static_cast<std::uint64_t>(i + 1));
     auto t = std::make_unique<Tenant>(
         spec, tenant_profile(spec, seed_offset_, i), clients_, arrival_seed);

@@ -55,7 +55,6 @@ struct TenantSpec {
   BurstConfig burst;
   DiurnalConfig diurnal;
   DriftConfig drift;
-  std::uint64_t seed_offset = 0;  // decorrelates same-profile tenants
 
   void validate() const;  // throws std::invalid_argument
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "trace/generator.h"
@@ -70,20 +71,16 @@ TEST(Cluster, RejectsSparseFileIds) {
 
 TEST(Cluster, ConfigValidation) {
   ClusterConfig cfg = small_config();
-  cfg.stripe_unit = 1000;  // not a page multiple
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = small_config();
   cfg.target_max_utilization = 0.0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = small_config();
-  cfg.destination_utilization_cap = 1.5;
+  cfg.target_max_utilization = std::nan("");
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = small_config();
-  // Cross-field: a destination cap below the population target would
-  // reject every migration destination from the first shuffle.
-  cfg.target_max_utilization = 0.76;
-  cfg.destination_utilization_cap = 0.50;
+  // A population target above the destination cap would reject every
+  // migration destination from the first shuffle.
+  cfg.target_max_utilization = kDestinationUtilizationCap + 0.01;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.target_max_utilization = kDestinationUtilizationCap;
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(Cluster, MapRequestReadTouchesOnlyDataObjects) {
@@ -261,9 +258,9 @@ TEST(Cluster, MigrationToSelfOrDuplicateRejected) {
 TEST(Cluster, MigrationRespectsDestinationUtilizationCap) {
   ClusterConfig cfg = small_config();
   // Every OSD starts at the population target (uniform files, large
-  // enough that the minimum-capacity floor does not kick in), so a cap
-  // equal to the target means any incoming object overshoots.
-  cfg.destination_utilization_cap = cfg.target_max_utilization;
+  // enough that the minimum-capacity floor does not kick in), so a target
+  // equal to the cap means any incoming object overshoots.
+  cfg.target_max_utilization = kDestinationUtilizationCap;
   Cluster cluster(cfg, uniform_files(16, 1024 * 1024));
   const ObjectId oid = cluster.placement().object_id(2, 1);
   const OsdId dst =

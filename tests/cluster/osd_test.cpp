@@ -33,7 +33,7 @@ TEST(Osd, WriteCostsDeviceTime) {
   Osd osd(0, osd_flash());
   osd.add_object(1, 10);
   const auto t = osd.write(1, 0, 4);
-  EXPECT_EQ(t, 4u * osd.ssd().config().page_write_us);
+  EXPECT_EQ(t, 4u * flash::kPageWriteUs);
   EXPECT_EQ(osd.flash_stats().host_page_writes, 4u);
 }
 
@@ -41,14 +41,14 @@ TEST(Osd, ReadCostsDeviceTime) {
   Osd osd(0, osd_flash());
   osd.add_object(1, 10);
   osd.write(1, 0, 10);
-  EXPECT_EQ(osd.read(1, 2, 3), 3u * osd.ssd().config().page_read_us);
+  EXPECT_EQ(osd.read(1, 2, 3), 3u * flash::kPageReadUs);
 }
 
 TEST(Osd, IoIsClampedToObjectSize) {
   Osd osd(0, osd_flash());
   osd.add_object(1, 10);
   // Reading past the end touches only the existing pages.
-  EXPECT_EQ(osd.read(1, 8, 100), 2u * osd.ssd().config().page_read_us);
+  EXPECT_EQ(osd.read(1, 8, 100), 2u * flash::kPageReadUs);
   // Fully out of range costs nothing.
   EXPECT_EQ(osd.read(1, 50, 10), 0u);
 }

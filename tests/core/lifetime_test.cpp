@@ -7,7 +7,7 @@
 namespace edm::core {
 namespace {
 
-const EnduranceModel kModel{3000, 2048};
+const EnduranceModel kModel{2048};
 
 TEST(Lifetime, RejectsNonPositiveWindow) {
   const std::vector<std::uint64_t> erases = {10};
@@ -21,7 +21,7 @@ TEST(Lifetime, EmptyInput) {
 }
 
 TEST(Lifetime, SingleDeviceExtrapolation) {
-  // 100 erases in 50 s => 2 erases/s; budget 3000*2048 erases.
+  // 100 erases in 50 s => 2 erases/s; budget kPeCycleLimit*2048 erases.
   const std::vector<std::uint64_t> erases = {100};
   const auto est = estimate_lifetime(erases, 50.0, kModel);
   ASSERT_EQ(est.device_seconds.size(), 1u);
@@ -69,7 +69,7 @@ TEST(Lifetime, GapMeasuresWearDesynchronisation) {
 TEST(Lifetime, BudgetScalesWithModel) {
   const std::vector<std::uint64_t> erases = {100};
   EnduranceModel big = kModel;
-  big.pe_cycle_limit *= 2;
+  big.num_blocks *= 2;
   const auto a = estimate_lifetime(erases, 10.0, kModel);
   const auto b = estimate_lifetime(erases, 10.0, big);
   EXPECT_NEAR(b.first_failure_seconds, 2.0 * a.first_failure_seconds, 1e-6);

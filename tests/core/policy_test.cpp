@@ -112,12 +112,15 @@ TEST(Selection, PartitionRequiresPlacement) {
 }
 
 TEST(Selection, FreePageBudgetFromCap) {
+  // The cap is cluster::kDestinationUtilizationCap, 0.90.
   DeviceView d;
   d.capacity_pages = 1000;
   d.free_pages = 500;  // 50% utilized
-  EXPECT_EQ(free_page_budget(d, 0.9), 400);
-  EXPECT_EQ(free_page_budget(d, 0.5), 0);
-  EXPECT_LT(free_page_budget(d, 0.3), 0);
+  EXPECT_EQ(free_page_budget(d), 400);
+  d.free_pages = 100;  // at the cap
+  EXPECT_EQ(free_page_budget(d), 0);
+  d.free_pages = 50;  // past it
+  EXPECT_LT(free_page_budget(d), 0);
 }
 
 TEST(Selection, AssignDestinationPrefersLargestQuota) {
@@ -221,16 +224,15 @@ TEST(HdfPolicy, GroupWithoutDestinationIsSkipped) {
 }
 
 TEST(HdfPolicy, RespectsDestinationUtilizationCap) {
-  PolicyConfig cfg = test_config();
-  cfg.dest_utilization_cap = 0.60;
   ViewBuilder b;
   b.device(0, 50000, 0.65, 300.0);
-  b.device(4, 5000, 0.595, 80.0);  // almost at cap: ~50 pages of headroom
+  b.device(4, 5000, 0.895, 80.0);  // almost at the 0.90 cap: ~50 pages
   b.object(0, 100, 200, 500.0, 600.0);  // too big to fit under the cap
   b.object(0, 101, 16, 300.0, 400.0);
   b.object(4, 200, 16, 1.0, 2.0);
-  HdfPolicy policy(cfg);
+  HdfPolicy policy(test_config());
   const auto plan = policy.plan(b.view(), true);
+  ASSERT_FALSE(plan.actions.empty());
   for (const auto& a : plan.actions) EXPECT_NE(a.oid, 100u);
 }
 

@@ -14,11 +14,11 @@ TEST(FlashConfig, DefaultsAreValid) {
 
 TEST(FlashConfig, PaperGeometry) {
   FlashConfig cfg;  // 4 KB pages, 32 pages/block = 128 KB blocks
-  EXPECT_EQ(cfg.page_size, 4096u);
+  EXPECT_EQ(kPageSize, 4096u);
   EXPECT_EQ(cfg.block_bytes(), 128u * 1024u);
-  EXPECT_EQ(cfg.page_read_us, 25u);
-  EXPECT_EQ(cfg.page_write_us, 200u);
-  EXPECT_EQ(cfg.block_erase_us, 2000u);
+  EXPECT_EQ(kPageReadUs, 25u);
+  EXPECT_EQ(kPageWriteUs, 200u);
+  EXPECT_EQ(kBlockEraseUs, 2000u);
 }
 
 TEST(FlashConfig, PhysicalPages) {
@@ -41,19 +41,14 @@ TEST(FlashConfig, LogicalPagesRespectsOverProvisioning) {
 TEST(FlashConfig, LogicalPagesAlwaysLeavesGcReserve) {
   FlashConfig cfg;
   cfg.num_blocks = 8;
-  cfg.gc_low_water = 4;
   cfg.op_ratio = 0.0;  // even with zero OP the reserve must hold
   const auto logical = cfg.logical_pages();
-  EXPECT_LE(logical, cfg.physical_pages() -
-                         (cfg.gc_low_water + 1) * cfg.pages_per_block);
+  EXPECT_LE(logical,
+            cfg.physical_pages() - (kGcLowWater + 1) * cfg.pages_per_block);
 }
 
 TEST(FlashConfig, ValidateRejectsBadGeometry) {
   FlashConfig cfg;
-  cfg.page_size = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-
-  cfg = FlashConfig{};
   cfg.pages_per_block = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 
@@ -68,15 +63,11 @@ TEST(FlashConfig, ValidateRejectsBadGeometry) {
   cfg = FlashConfig{};
   cfg.op_ratio = -0.1;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
-
-  cfg = FlashConfig{};
-  cfg.gc_low_water = 1;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 TEST(FlashConfig, ValidateRejectsDeviceTooSmall) {
   FlashConfig cfg;
-  cfg.num_blocks = 4;  // fewer than gc_low_water + 1 blocks of slack
+  cfg.num_blocks = 4;  // fewer than kGcLowWater + 1 blocks of slack
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
@@ -94,7 +85,7 @@ TEST(FlashConfig, WithLogicalCapacityIsTight) {
   const auto sized = base.with_logical_capacity(64 << 20);
   // Should not over-allocate by more than a few blocks + OP share.
   const double op_share = 1.0 / (1.0 - base.op_ratio);
-  EXPECT_LE(static_cast<double>(sized.physical_pages()) * base.page_size,
+  EXPECT_LE(static_cast<double>(sized.physical_pages()) * kPageSize,
             (64 << 20) * op_share * 1.10 + 8.0 * base.block_bytes());
 }
 

@@ -65,7 +65,7 @@ TEST(GcPolicy, BothPoliciesReclaimUnderPressure) {
                       FlashConfig::GcPolicy::kCostBenefit}) {
     Ssd ssd(config(policy));
     churn(ssd, 4ull * ssd.config().physical_pages(), 0.5, 11);
-    EXPECT_GE(ssd.free_blocks(), ssd.config().gc_low_water - 1);
+    EXPECT_GE(ssd.free_blocks(), kGcLowWater - 1);
     EXPECT_TRUE(ssd.check_invariants());
   }
 }

@@ -196,11 +196,11 @@ TEST(FlashParallel, GcOccupiesOnlyTheDieItErases) {
     const auto lpn = static_cast<Lpn>(i % logical);
     at += 1u << 20;  // idle gaps: horizons never carry between calls
     const SimDuration wrote = ssd.write_range_at(at, lpn, 1);
-    if (wrote > cfg.block_erase_us && i > 1) {
+    if (wrote > kBlockEraseUs && i > 1) {
       // This write stalled on GC.  The previously written lpn sits on
       // the other die; issued at the same submission time it must be
       // untouched by the erase.
-      EXPECT_EQ(ssd.read_range_at(at, prev_lpn, 1), cfg.page_read_us)
+      EXPECT_EQ(ssd.read_range_at(at, prev_lpn, 1), kPageReadUs)
           << "GC on one die delayed a read on the other";
       ++gc_writes_probed;
     }

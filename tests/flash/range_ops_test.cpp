@@ -18,7 +18,6 @@ FlashConfig tiny_config() {
   cfg.num_blocks = 32;
   cfg.pages_per_block = 8;  // ranges span several blocks
   cfg.op_ratio = 0.10;
-  cfg.gc_low_water = 4;
   return cfg;
 }
 

@@ -13,7 +13,6 @@ FlashConfig small_config(std::uint32_t blocks = 64) {
   cfg.num_blocks = blocks;
   cfg.pages_per_block = 16;
   cfg.op_ratio = 0.10;
-  cfg.gc_low_water = 4;
   return cfg;
 }
 
@@ -28,7 +27,7 @@ TEST(Ssd, FreshDeviceState) {
 TEST(Ssd, WriteMapsPage) {
   Ssd ssd(small_config());
   const auto t = ssd.write(5);
-  EXPECT_EQ(t, ssd.config().page_write_us);
+  EXPECT_EQ(t, kPageWriteUs);
   EXPECT_TRUE(ssd.is_mapped(5));
   EXPECT_EQ(ssd.valid_pages(), 1u);
   EXPECT_EQ(ssd.stats().host_page_writes, 1u);
@@ -47,7 +46,7 @@ TEST(Ssd, OverwriteInvalidatesOldVersion) {
 TEST(Ssd, ReadCostsPageReadTime) {
   Ssd ssd(small_config());
   ssd.write(1);
-  EXPECT_EQ(ssd.read(1), ssd.config().page_read_us);
+  EXPECT_EQ(ssd.read(1), kPageReadUs);
   EXPECT_EQ(ssd.stats().host_page_reads, 1u);
 }
 
@@ -88,7 +87,7 @@ TEST(Ssd, GcTriggersUnderChurnAndReclaimsSpace) {
     ssd.write(static_cast<Lpn>(rng.next_below(logical)));
   }
   EXPECT_GT(ssd.stats().erase_count, 0u);
-  EXPECT_GE(ssd.free_blocks(), ssd.config().gc_low_water - 1);
+  EXPECT_GE(ssd.free_blocks(), kGcLowWater - 1);
   EXPECT_TRUE(ssd.check_invariants());
 }
 
@@ -102,8 +101,7 @@ TEST(Ssd, GcStallChargedToTriggeringWrite) {
     max_write = std::max(max_write, ssd.write(static_cast<Lpn>(i % logical)));
   }
   // At least one write must have absorbed an erase (2 ms) worth of stall.
-  EXPECT_GE(max_write,
-            ssd.config().page_write_us + ssd.config().block_erase_us);
+  EXPECT_GE(max_write, kPageWriteUs + kBlockEraseUs);
 }
 
 TEST(Ssd, SequentialCyclingHasNearZeroWriteAmplification) {
@@ -235,8 +233,7 @@ TEST(Ssd, BusyTimeAccumulates) {
   Ssd ssd(small_config());
   ssd.write(0);
   ssd.read(0);
-  EXPECT_EQ(ssd.stats().busy_time_us,
-            ssd.config().page_write_us + ssd.config().page_read_us);
+  EXPECT_EQ(ssd.stats().busy_time_us, kPageWriteUs + kPageReadUs);
 }
 
 // Property: after arbitrary interleaved writes/trims, invariants hold and

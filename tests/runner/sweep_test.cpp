@@ -4,12 +4,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "runner/seed.h"
+#include "telemetry/telemetry.h"
 
 namespace edm::runner {
 namespace {
@@ -143,6 +145,46 @@ TEST(Sweep, ApplySeedDerivationAssignsDistinctOffsets) {
       EXPECT_NE(cells[i].trace_seed_offset, cells[j].trace_seed_offset);
     }
   }
+}
+
+TEST(Sweep, UnwritableSinkWarnsOnceAndWritesNothing) {
+  // A sink path under a directory that does not exist cannot be opened:
+  // write_run_outputs names it in one warning line, writes no file and
+  // does not throw -- once for the trace, once for the time series.
+  TelemetrySinks traced;
+  traced.trace_out = "unused.json";
+  traced.timeseries_out = "unused.csv";
+  sim::ExperimentConfig cfg;
+  cfg.trace_name = "home02";
+  cfg.scale = 0.002;
+  cfg.num_osds = 8;
+  apply_telemetry(cfg, traced);
+  const sim::RunResult result = sim::run_experiment(cfg);
+  ASSERT_NE(result.telemetry, nullptr);
+  ASSERT_NE(result.telemetry->tracer(), nullptr);
+  ASSERT_NE(result.telemetry->sampler(), nullptr);
+
+  const std::filesystem::path missing =
+      std::filesystem::path(::testing::TempDir()) / "edm_no_such_dir";
+  std::filesystem::remove_all(missing);
+
+  TelemetrySinks trace_sink;
+  trace_sink.trace_out = (missing / "trace.json").string();
+  ::testing::internal::CaptureStderr();
+  EXPECT_NO_THROW(write_run_outputs(result, trace_sink, 0, 1));
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "[edm WARN ] cannot write trace file " + trace_sink.trace_out +
+                "\n");
+
+  TelemetrySinks series_sink;
+  series_sink.timeseries_out = (missing / "series.csv").string();
+  ::testing::internal::CaptureStderr();
+  EXPECT_NO_THROW(write_run_outputs(result, series_sink, 0, 1));
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "[edm WARN ] cannot write time-series file " +
+                series_sink.timeseries_out + "\n");
+
+  EXPECT_FALSE(std::filesystem::exists(missing));
 }
 
 TEST(Sweep, ZeroCellsIsANoOp) {

@@ -18,7 +18,7 @@ namespace {
 
 /// Trace-replay rig (home02 sample) with pluggable fault/health config.
 /// Larger than the fault_replay rig so every device clears the monitor's
-/// min_samples gate well before the first slowdown.
+/// kMinSamples gate well before the first slowdown.
 struct HealthRig {
   HealthRig() {
     profile = trace::profile_by_name("home02").scaled(0.02);
@@ -42,7 +42,6 @@ struct HealthRig {
     cfg.health.enabled = health || mitigate;
     cfg.health.mitigate = mitigate;
     cfg.health.check_interval_us = 100 * 1000;
-    cfg.health.min_samples = 16;
     Simulator sim(cfg, *cluster, trace, nullptr);
     return sim.run();
   }
@@ -222,7 +221,6 @@ TEST(FailSlow, HedgesSurviveTransientErrorExhaustionOnTheSickDevice) {
   cfg.health.enabled = true;
   cfg.health.mitigate = true;
   cfg.health.check_interval_us = 100 * 1000;
-  cfg.health.min_samples = 16;
   Simulator sim(cfg, *rig.cluster, rig.trace, nullptr);
   const auto r = sim.run();
 

@@ -249,8 +249,9 @@ TEST(FaultReplay, MidFlightMigrationRetargetsOnDestinationDeath) {
   ccfg.num_groups = 2;
   ccfg.objects_per_file = 2;
   // Dynamic capacity sizing parks every device near the target, so one
-  // whole-object move needs generous destination headroom to be admitted.
-  ccfg.destination_utilization_cap = 0.98;
+  // whole-object move needs a low target to stay under the destination
+  // cap.
+  ccfg.target_max_utilization = 0.6;
   ccfg.flash.num_blocks = 256;
   ccfg.flash.pages_per_block = 16;
   std::vector<trace::FileSpec> files;
@@ -311,7 +312,7 @@ TEST(FaultReplay, DegradedReadRacesMidFlightMigrationOfSameObject) {
   ccfg.num_osds = 8;
   ccfg.num_groups = 2;
   ccfg.objects_per_file = 2;
-  ccfg.destination_utilization_cap = 0.98;
+  ccfg.target_max_utilization = 0.6;
   ccfg.flash.num_blocks = 256;
   ccfg.flash.pages_per_block = 16;
   std::vector<trace::FileSpec> files;

@@ -1,6 +1,6 @@
-// HealthMonitor unit behaviour: config validation, median-relative
-// flagging with streak debounce and hysteresis, and the scoreability
-// gates (min_samples, at least two devices).
+// HealthMonitor unit behaviour: median-relative flagging with streak
+// debounce and hysteresis, and the scoreability gates (kMinSamples, at
+// least two devices), all at the monitor's fixed thresholds.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -11,17 +11,14 @@
 namespace edm::sim {
 namespace {
 
-HealthConfig quick_config() {
-  HealthConfig cfg;
-  cfg.enabled = true;
-  cfg.min_samples = 4;
-  cfg.flag_streak = 1;  // most tests want the flag on the first excursion
-  return cfg;
-}
+/// Enough samples for the EWMA (alpha 0.05) to sit within 0.01% of a new
+/// level: 0.95^200 < 1e-4.
+constexpr std::uint64_t kSettle = 200;
 
 /// Feeds `n` observations of `latency_us` into one device.
-void feed(HealthMonitor& m, OsdId osd, int n, SimDuration latency_us) {
-  for (int i = 0; i < n; ++i) m.observe(osd, latency_us);
+void feed(HealthMonitor& m, OsdId osd, std::uint64_t n,
+          SimDuration latency_us) {
+  for (std::uint64_t i = 0; i < n; ++i) m.observe(osd, latency_us);
 }
 
 std::vector<HealthMonitor::Transition> eval(HealthMonitor& m, SimTime now) {
@@ -32,42 +29,18 @@ std::vector<HealthMonitor::Transition> eval(HealthMonitor& m, SimTime now) {
 
 TEST(HealthConfig, ValidationRejectsDegenerateKnobs) {
   HealthConfig cfg;
-  cfg.latency_alpha = 0.0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = HealthConfig{};
-  cfg.latency_alpha = 1.5;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-
-  cfg = HealthConfig{};
-  cfg.flag_ratio = 1.0;  // the median itself would be an outlier
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-
-  cfg = HealthConfig{};
-  cfg.clear_ratio = cfg.flag_ratio;  // no hysteresis gap
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.clear_ratio = 0.5;  // would clear below nominal
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-
-  cfg = HealthConfig{};
   cfg.check_interval_us = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-
-  cfg = HealthConfig{};
-  cfg.hedge_deadline_us = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-
-  cfg = HealthConfig{};
-  cfg.flag_streak = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 
   EXPECT_NO_THROW(HealthConfig{}.validate());
 }
 
 TEST(HealthMonitor, FlagsTheOutlierAgainstTheFleetMedian) {
-  HealthMonitor m(quick_config(), 4);
-  for (OsdId osd = 0; osd < 3; ++osd) feed(m, osd, 8, 100);
-  feed(m, 3, 8, 1000);  // 10x the median
+  HealthMonitor m(4);
+  for (OsdId osd = 0; osd < 3; ++osd) feed(m, osd, kSettle, 100);
+  feed(m, 3, kSettle, 1000);  // 10x the median
 
+  EXPECT_TRUE(eval(m, 4000).empty());  // streak 1 of 2
   const auto out = eval(m, 5000);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].osd, 3u);
@@ -80,74 +53,85 @@ TEST(HealthMonitor, FlagsTheOutlierAgainstTheFleetMedian) {
 }
 
 TEST(HealthMonitor, MinSamplesGatesBothMedianAndCandidates) {
-  HealthMonitor m(quick_config(), 3);
-  feed(m, 0, 8, 100);
-  feed(m, 1, 8, 100);
-  feed(m, 2, 2, 1000);  // outlier, but below min_samples
-  EXPECT_TRUE(eval(m, 1000).empty());
+  static_assert(HealthMonitor::kMinSamples == 32);
+  HealthMonitor m(3);
+  feed(m, 0, kSettle, 100);
+  feed(m, 1, kSettle, 100);
+  // An outlier one sample short of the gate: not scored, however many
+  // checks pass.
+  feed(m, 2, HealthMonitor::kMinSamples - 1, 1000);
+  for (SimTime t = 1000; t <= 4000; t += 1000) {
+    EXPECT_TRUE(eval(m, t).empty()) << "check at t=" << t;
+  }
 
-  feed(m, 2, 2, 1000);  // now at min_samples
-  const auto out = eval(m, 2000);
+  feed(m, 2, 1, 1000);  // now at kMinSamples
+  EXPECT_TRUE(eval(m, 5000).empty());  // streak 1 of 2
+  const auto out = eval(m, 6000);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].osd, 2u);
 }
 
 TEST(HealthMonitor, NeverFlagsWithFewerThanTwoScoreableDevices) {
-  HealthMonitor m(quick_config(), 4);
-  feed(m, 1, 16, 50000);  // one device alone: no fleet to compare against
-  EXPECT_TRUE(eval(m, 1000).empty());
+  HealthMonitor m(4);
+  // One device alone: no fleet to compare against.
+  feed(m, 1, kSettle, 50000);
+  // A second device short of the gate does not make it a fleet.
+  feed(m, 2, HealthMonitor::kMinSamples - 1, 100);
+  for (SimTime t = 1000; t <= 3000; t += 1000) {
+    EXPECT_TRUE(eval(m, t).empty());
+  }
   EXPECT_FALSE(m.any_flagged());
-  EXPECT_EQ(m.checks(), 1u);
+  EXPECT_EQ(m.checks(), 3u);
 }
 
 TEST(HealthMonitor, StreakDebounceDelaysTheFlag) {
-  HealthConfig cfg = quick_config();
-  cfg.flag_streak = 3;
-  HealthMonitor m(cfg, 2);
-  feed(m, 0, 8, 100);
-  feed(m, 1, 8, 1000);
+  static_assert(HealthMonitor::kFlagStreak == 2);
+  HealthMonitor m(2);
+  feed(m, 0, kSettle, 100);
+  feed(m, 1, kSettle, 1000);
 
-  EXPECT_TRUE(eval(m, 1000).empty());  // streak 1 of 3
-  EXPECT_TRUE(eval(m, 2000).empty());  // streak 2 of 3
-  const auto out = eval(m, 3000);      // streak complete
+  EXPECT_TRUE(eval(m, 1000).empty());  // streak 1 of 2
+  const auto out = eval(m, 2000);      // streak complete
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].osd, 1u);
-  EXPECT_EQ(m.first_flagged_at(), 3000u);
+  EXPECT_EQ(m.first_flagged_at(), 2000u);
 }
 
 TEST(HealthMonitor, TransientExcursionResetsTheStreak) {
-  HealthConfig cfg = quick_config();
-  cfg.flag_streak = 2;
-  cfg.latency_alpha = 1.0;  // EWMA == last observation, for direct control
-  HealthMonitor m(cfg, 2);
-  feed(m, 0, 8, 100);
-  feed(m, 1, 8, 1000);
+  HealthMonitor m(2);
+  feed(m, 0, kSettle, 100);
+  feed(m, 1, kSettle, 1000);
   EXPECT_TRUE(eval(m, 1000).empty());  // streak 1 of 2
 
-  feed(m, 1, 1, 100);  // spike over before the next check
+  feed(m, 1, kSettle, 100);  // spike over before the next check
   EXPECT_TRUE(eval(m, 2000).empty());  // streak reset, not flagged
 
-  feed(m, 1, 1, 1000);  // a real fail-slow device stays slow...
+  feed(m, 1, kSettle, 1000);  // a real fail-slow device stays slow...
   EXPECT_TRUE(eval(m, 3000).empty());
   EXPECT_EQ(eval(m, 4000).size(), 1u);  // ...and completes a fresh streak
 }
 
 TEST(HealthMonitor, HysteresisSeparatesFlagAndClearThresholds) {
-  HealthConfig cfg = quick_config();
-  cfg.latency_alpha = 1.0;
-  cfg.flag_ratio = 3.0;
-  cfg.clear_ratio = 1.5;
-  HealthMonitor m(cfg, 2);
-  feed(m, 0, 8, 100);
-  feed(m, 1, 8, 1000);
-  ASSERT_EQ(eval(m, 1000).size(), 1u);  // flagged at 10x median
-
-  feed(m, 1, 1, 200);  // 2x median: under flag_ratio but over clear_ratio
+  static_assert(HealthMonitor::kFlagRatio == 3.0);
+  static_assert(HealthMonitor::kClearRatio == 1.5);
+  HealthMonitor m(2);
+  feed(m, 0, kSettle, 100);
+  feed(m, 1, kSettle, 290);  // 2.9x median: under the flag ratio
+  EXPECT_TRUE(eval(m, 1000).empty());
   EXPECT_TRUE(eval(m, 2000).empty());
+  EXPECT_FALSE(m.flagged(1));
+
+  feed(m, 1, kSettle, 310);  // 3.1x median: over it
+  EXPECT_TRUE(eval(m, 3000).empty());  // streak 1 of 2
+  ASSERT_EQ(eval(m, 4000).size(), 1u);
+  EXPECT_TRUE(m.flagged(1));
+
+  feed(m, 1, kSettle, 160);  // 1.6x median: under flag, over clear
+  EXPECT_TRUE(eval(m, 5000).empty());
   EXPECT_TRUE(m.flagged(1));  // still flagged -- no flapping
 
-  feed(m, 1, 1, 120);  // back near nominal: under clear_ratio
-  const auto out = eval(m, 3000);
+  feed(m, 1, kSettle, 140);  // 1.4x median: under the clear ratio
+  const auto out = eval(m, 6000);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].osd, 1u);
   EXPECT_FALSE(out[0].flagged);
@@ -159,8 +143,10 @@ TEST(HealthMonitor, HysteresisSeparatesFlagAndClearThresholds) {
 }
 
 TEST(HealthMonitor, UniformFleetNeverFlags) {
-  HealthMonitor m(quick_config(), 8);
-  for (OsdId osd = 0; osd < 8; ++osd) feed(m, osd, 16, 100 + osd);
+  HealthMonitor m(8);
+  for (OsdId osd = 0; osd < 8; ++osd) {
+    feed(m, osd, HealthMonitor::kMinSamples, 100 + osd);
+  }
   for (SimTime t = 1000; t <= 10000; t += 1000) {
     EXPECT_TRUE(eval(m, t).empty()) << "check at t=" << t;
   }

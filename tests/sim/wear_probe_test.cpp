@@ -10,7 +10,6 @@ WearProbeConfig small_probe(double utilization) {
   cfg.flash.num_blocks = 512;
   cfg.flash.pages_per_block = 16;
   cfg.utilization = utilization;
-  cfg.churn_multiplier = 2.0;
   return cfg;
 }
 

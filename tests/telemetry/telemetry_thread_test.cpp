@@ -3,13 +3,10 @@
 // corrupt telemetry state.  Run under the tsan preset by tools/check.sh.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <sstream>
-#include <thread>
 
 #include "runner/sweep.h"
 #include "telemetry/telemetry.h"
-#include "util/log.h"
 
 namespace edm::sim {
 namespace {
@@ -37,21 +34,9 @@ TEST(TelemetryThread, ParallelGridKeepsRecordersIndependent) {
       traced_cell(core::PolicyKind::kNone),
   };
 
-  // Exercise the satellite contract: the log threshold is an atomic, so
-  // flipping it while pool workers log concurrently must be safe.
-  std::atomic<bool> stop{false};
-  std::thread flipper([&stop] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      util::set_log_level(util::LogLevel::kError);
-      util::set_log_level(util::LogLevel::kWarn);
-    }
-  });
-
   runner::SweepOptions opt;
   opt.jobs = 4;
   const auto results = runner::run_sweep(cells, opt);
-  stop.store(true, std::memory_order_relaxed);
-  flipper.join();
 
   ASSERT_EQ(results.size(), cells.size());
   for (std::size_t i = 0; i < results.size(); ++i) {

@@ -154,7 +154,6 @@ TEST(OpenLoopSource, DuplicateProfilesGetIndexedNames) {
   cfg.tenants = {small_tenant("home02", 500.0),
                  small_tenant("home02", 700.0),
                  small_tenant("lair62", 300.0)};
-  cfg.tenants[1].seed_offset = 1;
   OpenLoopSource source(cfg, 2);
   EXPECT_EQ(source.tenant_name(0), "home02#0");
   EXPECT_EQ(source.tenant_name(1), "home02#1");

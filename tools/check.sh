@@ -13,7 +13,7 @@
 # edm-run-result/4 health JSON shape; a monitor-mode run twice with
 # report, trace and time-series compared byte for byte; and
 # --flash-geometry=flat byte-identity), then the concurrency-sensitive
-# tests (telemetry, thread pool, sweep runner, logging) under
+# tests (telemetry, thread pool, sweep runner) under
 # ThreadSanitizer (CMakePresets.json).  Any failure aborts.
 #
 #   tools/check.sh [--fast]   # --fast skips the sanitizer configs

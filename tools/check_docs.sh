@@ -6,7 +6,8 @@
 #     documented in docs/MANUAL.md, and every flag row of the manual names
 #     a registered flag,
 #  3. every intra-repo markdown link in *.md resolves to a real file,
-#  4. every edm-<name>/<n> schema tag the docs name is emitted by a source.
+#  4. every edm-<name>/<n> schema tag the docs name is emitted by a source,
+#  5. every knob docs/MODELS.md names is declared in a header under src/.
 #
 #   tools/check_docs.sh
 set -euo pipefail
@@ -126,6 +127,18 @@ for tag in $(grep -rhoE "$tag_re" README.md docs .claude/skills/verify/SKILL.md 
   sort -u); do
   grep -qxF -- "$tag" <<<"$emitted" ||
     err "schema $tag is documented but no source emits it as a string literal"
+done
+
+# -- 5. every knob the model catalogue names is declared -----------------
+# The last column of a docs/MODELS.md table lists each model's knobs.  A
+# backticked name there that is not a --flag must be declared in a header
+# under src/ -- it appears followed by =, {, ( or ; -- so a retired
+# field's name goes from the catalogue with the field.
+knobs=$(grep -E '^\|' docs/MODELS.md | awk -F'|' '{print $(NF-1)}' |
+  grep -oE '`[^`]+`' | tr -d '`' | grep -v -- '^--' | sort -u)
+for name in $knobs; do
+  grep -rqE --include='*.h' "\b$name[[:space:]]*[={(;]" src ||
+    err "docs/MODELS.md names $name, which no header under src/ declares"
 done
 
 if [[ $fail -ne 0 ]]; then
