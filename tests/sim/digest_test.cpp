@@ -445,5 +445,52 @@ TEST(Digest, HdfHome02NvmeQd1) {
   check_digest("home02_hdf_nvme_qd1.json", report_json(run_experiment(cfg)));
 }
 
+// --- Non-power-of-two geometries -------------------------------------
+//
+// Every geometry above has power-of-two channel, die and LUN counts and
+// 32-page blocks, where a wrong block, domain, channel or die mapping can
+// still land on the right answer.  These cells use 3 channels, 12- or
+// 24-page blocks and queue depths 3 and 2; the second has 6 dies, so
+// `lun % channels` and `lun % dies` differ.  Both relocate pages in GC and
+// move objects, so the GC path and a moved object's location stay under
+// test.
+
+ExperimentConfig odd_geometry_cell(flash::FlashGeometry geometry,
+                                   std::uint32_t pages_per_block,
+                                   std::uint32_t queue_depth) {
+  ExperimentConfig cfg = base_cell("lair62", core::PolicyKind::kHdf);
+  cfg.flash.geometry = geometry;
+  cfg.flash.pages_per_block = pages_per_block;
+  cfg.flash.bus_ctrl_us = 3;
+  cfg.flash.bus_data_us = 20;
+  cfg.sim.osd_queue_depth = queue_depth;
+  return cfg;
+}
+
+void check_odd_geometry(const std::string& fixture, const RunResult& result) {
+  check_digest(fixture, report_json(result));
+  std::uint64_t gc_page_moves = 0;
+  for (const OsdMetrics& osd : result.per_osd) {
+    gc_page_moves += osd.flash.gc_page_moves;
+  }
+  EXPECT_GT(gc_page_moves, 0u);
+  EXPECT_GT(result.migration.moved_objects, 0u);
+}
+
+TEST(Digest, HdfLair62ThreeChannelsCostBenefit) {
+  ExperimentConfig cfg =
+      odd_geometry_cell(flash::FlashGeometry{3, 1, 1}, 12, 3);
+  cfg.flash.gc_policy = flash::FlashConfig::GcPolicy::kCostBenefit;
+  check_odd_geometry("lair62_hdf_3x1x1_cost_benefit.json",
+                     run_experiment(cfg));
+}
+
+TEST(Digest, HdfLair62SixDiesGreedy) {
+  ExperimentConfig cfg =
+      odd_geometry_cell(flash::FlashGeometry{3, 2, 1}, 24, 2);
+  cfg.scale = 0.02;
+  check_odd_geometry("lair62_hdf_3x2x1.json", run_experiment(cfg));
+}
+
 }  // namespace
 }  // namespace edm::sim
