@@ -34,6 +34,14 @@ void FlashConfig::validate() const {
     fail("geometry.dies_per_channel must be > 0");
   }
   if (geometry.planes_per_die == 0) fail("geometry.planes_per_die must be > 0");
+  // luns() is a 32-bit product; a wrapped count of 0 would skip the
+  // per-domain checks below and leave the device without domains.
+  if (static_cast<std::uint64_t>(geometry.channels) *
+          geometry.dies_per_channel * geometry.planes_per_die >
+      UINT32_MAX) {
+    fail("geometry.channels x geometry.dies_per_channel x "
+         "geometry.planes_per_die must fit in 32 bits");
+  }
   const std::uint32_t domains = allocation_domains();
   if (domains > 1) {
     // Every LUN-level domain needs its own log head, GC stream head and

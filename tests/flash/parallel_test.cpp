@@ -54,6 +54,13 @@ TEST(FlashParallel, ValidateRejectsBadGeometry) {
   cfg = parallel_config(1, 1, 0);
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 
+  // A LUN count that wraps in 32 bits: 65536 x 65536 x 1 would read as
+  // 0 LUNs, and so would 2^16 x 2^8 x 2^8.
+  cfg = parallel_config(65536, 65536, 1);
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg = parallel_config(65536, 256, 256);
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+
   // Too many domains for the block count: 32 LUNs over 64 blocks leaves
   // two blocks per domain, below the per-domain floor.
   cfg = parallel_config(8, 2, 2);
