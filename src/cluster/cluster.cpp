@@ -84,10 +84,10 @@ Cluster::Cluster(ClusterConfig config, std::span<const trace::FileSpec> files)
     osds_.emplace_back(id, sized);
   }
 
-  // Create every object at its hash home, caching the home per dense oid
+  // Create every object at its hash home, which seeds the location table
   // so locate() never re-derives the placement hash on the hot path.
-  default_home_.resize(file_bytes_.size() * placement_.objects_per_file());
-  fast_.resize(default_home_.size());
+  location_.resize(file_bytes_.size() * placement_.objects_per_file());
+  fast_.resize(location_.size());
   std::vector<Extent> extents;
   for (FileId f = 0; f < file_bytes_.size(); ++f) {
     const std::uint64_t obj_bytes = layout_.object_bytes(file_bytes_[f]);
@@ -95,7 +95,7 @@ Cluster::Cluster(ClusterConfig config, std::span<const trace::FileSpec> files)
     for (std::uint32_t j = 0; j < placement_.objects_per_file(); ++j) {
       const ObjectId oid = placement_.object_id(f, j);
       const OsdId home = placement_.default_osd(f, j);
-      default_home_[oid] = home;
+      location_[oid] = home;
       if (!osds_[home].add_object(oid, obj_pages)) {
         throw std::runtime_error(
             "Cluster: OSD out of space during creation (capacity sizing bug)");
@@ -284,10 +284,17 @@ void Cluster::complete_migration(ObjectId oid) {
   in_flight_.erase(it);
   osds_[move.src].remove_object(oid);
   drop_fast_extent(oid);  // home copy gone; the entry must never be reused
-  remap_.set(oid, move.dst, default_home_[oid]);
-  remap_.count_update();
+  set_location(oid, move.dst);
   ++migrations_completed_;
   if (tel_migrations_completed_ != nullptr) tel_migrations_completed_->inc();
+}
+
+void Cluster::set_location(ObjectId oid, OsdId osd) {
+  location_[oid] = osd;
+  remap_.set(oid, osd,
+             placement_.default_osd(placement_.file_of(oid),
+                                    placement_.index_of(oid)));
+  remap_.count_update();
 }
 
 void Cluster::abort_migration(ObjectId oid) {

@@ -93,24 +93,16 @@ class Cluster {
   const ClusterConfig& config() const { return config_; }
 
   // --- Object location ---
-  /// Current OSD of an object (in-flight migrations still resolve to the
-  /// source until completed).  Inline: it runs once per sub-request the
-  /// simulator dispatches (plus once per RAID peer under degraded mode).
-  /// Both override tables are empty for entire runs under the no-migration
-  /// policies, so test the cheap empty() before paying for a hash probe;
-  /// the common case is a single load from the precomputed home table.
-  OsdId locate(ObjectId oid) const {
-    if (!in_flight_.empty()) {
-      if (auto it = in_flight_.find(oid); it != in_flight_.end()) {
-        return it->second.src;
-      }
-    }
-    if (!remap_.empty()) {
-      if (auto remapped = remap_.lookup(oid)) return *remapped;
-    }
-    return default_home_[oid];
-  }
-  RemapTable& remap() { return remap_; }
+  /// Current OSD of an object: one load from the dense location table.
+  /// It runs once per sub-request the simulator dispatches (plus once per
+  /// RAID peer under degraded mode).  Only complete_migration and
+  /// commit_object_rebuild write the table, so an object whose move is in
+  /// flight still resolves to its source.
+  OsdId locate(ObjectId oid) const { return location_[oid]; }
+
+  /// The remapping table (paper SIII.C): objects away from their hash
+  /// home.  It is Fig. 8's metadata cost and feeds HDF's `remapped` flag;
+  /// locate() never reads it.
   const RemapTable& remap() const { return remap_; }
 
   /// Direct-mapped device-I/O fast path.  An object that still sits as a
@@ -373,11 +365,12 @@ class Cluster {
   Raid5Layout layout_;
   std::vector<Osd> osds_;
   std::vector<std::uint64_t> file_bytes_;
-  // Object ids are dense (file * k + index with dense file ids), so the
-  // default placement is precomputed once: locate() on the hot dispatch
-  // path becomes one array load instead of three integer divisions
-  // (file_of, index_of, and the placement hash).
-  std::vector<OsdId> default_home_;
+  // Current OSD per dense object id (file * k + index with dense file
+  // ids), seeded with the hash placement.  set_location keeps it in step
+  // with remap_.
+  std::vector<OsdId> location_;
+  /// Points `oid` at `osd` in both the location and remapping tables.
+  void set_location(ObjectId oid, OsdId osd);
   // Fast-path table (see fast_extent()).  Entries are dropped -- never
   // re-established -- once an object's home copy moves or fragments;
   // migrated objects are a small fraction of the population, so the replay

@@ -83,10 +83,7 @@ void Cluster::abort_object_rebuild(ObjectId oid, OsdId dst) {
 }
 
 void Cluster::commit_object_rebuild(OsdId dead, ObjectId oid, OsdId dst) {
-  const OsdId default_home = placement_.default_osd(placement_.file_of(oid),
-                                                    placement_.index_of(oid));
-  remap_.set(oid, dst, default_home);
-  remap_.count_update();
+  set_location(oid, dst);
   if (osds_[dead].has_object(oid)) osds_[dead].remove_object(oid);
   drop_fast_extent(oid);  // the surviving copy is the rebuilt one on dst
   if (tel_rebuild_commits_ != nullptr) tel_rebuild_commits_->inc();

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 
 #include "util/types.h"
@@ -14,13 +13,6 @@ namespace edm::cluster {
 
 class RemapTable {
  public:
-  /// Current location override for `oid`, if remapped.
-  std::optional<OsdId> lookup(ObjectId oid) const {
-    const auto it = table_.find(oid);
-    if (it == table_.end()) return std::nullopt;
-    return it->second;
-  }
-
   bool contains(ObjectId oid) const { return table_.contains(oid); }
 
   /// Points `oid` at `osd`.  When `osd` equals the object's default home
@@ -34,7 +26,6 @@ class RemapTable {
   }
 
   std::size_t size() const { return table_.size(); }
-  bool empty() const { return table_.empty(); }
 
   /// Lifetime count of entry insert/update operations (growth-rate metric).
   std::uint64_t updates() const { return updates_; }

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "core/policy.h"
 #include "sim/simulator.h"
 #include "trace/generator.h"
 #include "trace/profile.h"
@@ -362,6 +364,52 @@ TEST(FaultReplay, DegradedReadRacesMidFlightMigrationOfSameObject) {
   EXPECT_EQ(r.completed_ops, trace.records.size());
   EXPECT_GT(r.degraded.degraded_reads, 0u);
   EXPECT_EQ(r.degraded.unavailable, 0u);
+}
+
+/// Every object's locate() must equal its remapping-table entry if it has
+/// one and its hash-placement home if not: the dense table the request
+/// path reads and the Fig. 8 table must never disagree.
+void expect_locate_matches_remap(const cluster::Cluster& cluster) {
+  std::vector<std::optional<OsdId>> remapped(cluster.object_count());
+  cluster.remap().for_each(
+      [&](ObjectId oid, OsdId osd) { remapped[oid] = osd; });
+  const cluster::Placement& p = cluster.placement();
+  for (ObjectId oid = 0; oid < cluster.object_count(); ++oid) {
+    const OsdId home = p.default_osd(p.file_of(oid), p.index_of(oid));
+    ASSERT_EQ(cluster.locate(oid), remapped[oid].value_or(home))
+        << "oid " << oid;
+  }
+}
+
+TEST(FaultReplay, LocateAgreesWithRemapTableAfterMovesAndRebuild) {
+  // home02 CMT on 16 OSDs in four groups, as in
+  // Digest.CmtHome02MoverReplansAroundFailedDestination: OSD 4 dies on the
+  // midpoint shuffle's record, which aborts the move in flight to it and
+  // re-plans moves around it.  Its online rebuild starts at 2 s, while the
+  // mover is still copying, and commits its objects to group peers.
+  const trace::Trace trace =
+      trace::TraceGenerator(trace::profile_by_name("home02").scaled(0.01), 8)
+          .generate();
+  cluster::ClusterConfig ccfg;
+  ccfg.num_osds = 16;
+  cluster::Cluster cluster(ccfg, trace.files);
+  cluster.populate();
+  cluster.steady_state_warmup();
+  cluster.reset_flash_stats();
+  auto policy =
+      core::make_policy(core::PolicyKind::kCmt, core::PolicyConfig{});
+
+  SimConfig cfg;
+  cfg.num_clients = 8;
+  cfg.faults.fail_at_fraction(4, 0.5).rebuild(4, 2'000'000);
+  const RunResult r = Simulator(cfg, cluster, trace, policy.get()).run();
+
+  EXPECT_GT(r.migration.moved_objects, 0u);
+  EXPECT_GT(r.faults.migrations_aborted, 0u);
+  EXPECT_GT(r.faults.rebuild_objects, 0u);
+  EXPECT_LT(r.faults.rebuild_started_at, r.migration.finished_at);
+  EXPECT_GT(cluster.remap().size(), r.migration.moved_objects);
+  expect_locate_matches_remap(cluster);
 }
 
 }  // namespace
