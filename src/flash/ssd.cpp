@@ -36,8 +36,12 @@ Ssd::Ssd(FlashConfig config)
       block_erases_(config.num_blocks, 0) {
   config_.validate();
   num_domains_ = config_.allocation_domains();
+  low_water_ = config_.domain_low_water();
   parallel_ = config_.parallel_timing();
-  dies_total_ = config_.geometry.dies();
+  block_div_ = util::Divisor(config_.pages_per_block);
+  domain_div_ = util::Divisor(num_domains_);
+  channel_div_ = util::Divisor(config_.geometry.channels);
+  die_div_ = util::Divisor(config_.geometry.dies());
   domains_.reserve(num_domains_);
   for (std::uint32_t d = 0; d < num_domains_; ++d) {
     domains_.push_back(Domain{
@@ -59,7 +63,7 @@ Ssd::Ssd(FlashConfig config)
   }
   if (parallel_) {
     bus_ready_.assign(config_.geometry.channels, 0);
-    die_ready_.assign(dies_total_, 0);
+    die_ready_.assign(config_.geometry.dies(), 0);
     plane_ready_.assign(config_.geometry.luns(), 0);
   }
 }
@@ -78,7 +82,7 @@ SimDuration Ssd::read(Lpn lpn) {
 }
 
 SimDuration Ssd::maybe_collect_for_write(std::uint32_t dom) {
-  if (domains_[dom].free_blocks.size() >= config_.domain_low_water()) return 0;
+  if (domains_[dom].free_blocks.size() >= low_water_) return 0;
   const std::uint64_t moves_before = stats_.gc_page_moves;
   const std::uint64_t erases_before = stats_.erase_count;
   const SimDuration gc_us = collect_garbage(dom);
@@ -106,8 +110,7 @@ SimDuration Ssd::maybe_collect_for_write(std::uint32_t dom) {
 
 SimDuration Ssd::write(Lpn lpn) {
   assert(lpn < l2p_.size());
-  const std::uint32_t dom = next_domain_;
-  if (num_domains_ > 1) next_domain_ = (next_domain_ + 1) % num_domains_;
+  const std::uint32_t dom = advance_domain();
   SimDuration elapsed = maybe_collect_for_write(dom);
   invalidate(lpn);
   append_page(lpn, dom);
@@ -145,8 +148,7 @@ SimDuration Ssd::write_range(Lpn first, std::uint32_t pages) {
     // keeps GC trigger points identical to `pages` calls of write().
     SimDuration gc_total = 0;
     for (std::uint32_t i = 0; i < pages; ++i) {
-      const std::uint32_t dom = next_domain_;
-      next_domain_ = (next_domain_ + 1) % num_domains_;
+      const std::uint32_t dom = advance_domain();
       gc_total += maybe_collect_for_write(dom);
       invalidate(first + i);
       append_page(first + i, dom);
@@ -198,8 +200,8 @@ SimDuration Ssd::write_range(Lpn first, std::uint32_t pages) {
 }
 
 SimTime Ssd::read_page_at(SimTime t, std::uint32_t lun) {
-  const std::uint32_t ch = lun % config_.geometry.channels;
-  const std::uint32_t die = lun % dies_total_;
+  const std::uint32_t ch = channel_div_.mod(lun);
+  const std::uint32_t die = die_div_.mod(lun);
   // Read command: needs the channel bus and the die's command register.
   const SimTime start = std::max(t, std::max(bus_ready_[ch], die_ready_[die]));
   const SimTime cmd_end = start + config_.bus_ctrl_us;
@@ -217,8 +219,8 @@ SimTime Ssd::read_page_at(SimTime t, std::uint32_t lun) {
 }
 
 SimTime Ssd::write_page_at(SimTime t, std::uint32_t lun, SimDuration gc_us) {
-  const std::uint32_t ch = lun % config_.geometry.channels;
-  const std::uint32_t die = lun % dies_total_;
+  const std::uint32_t ch = channel_div_.mod(lun);
+  const std::uint32_t die = die_div_.mod(lun);
   // Program command + data-in occupy the bus and the die front-end.
   const SimTime start = std::max(t, std::max(bus_ready_[ch], die_ready_[die]));
   const SimTime xfer_end = start + config_.bus_ctrl_us + config_.bus_data_us;
@@ -250,7 +252,7 @@ SimDuration Ssd::read_range_at(SimTime at, Lpn first, std::uint32_t pages) {
     // placed them on, so cold reads still spread across the geometry.
     const std::uint32_t lun =
         mapped == l2p_.max_value()
-            ? static_cast<std::uint32_t>(lpn % num_domains_)
+            ? domain_div_.mod(lpn)
             : domain_of(block_of(static_cast<Ppn>(mapped)));
     done = std::max(done, read_page_at(at, lun));
   }
@@ -263,8 +265,7 @@ SimDuration Ssd::write_range_at(SimTime at, Lpn first, std::uint32_t pages) {
   SimTime done = at;
   for (std::uint32_t i = 0; i < pages; ++i) {
     const Lpn lpn = first + i;
-    const std::uint32_t dom = next_domain_;
-    if (num_domains_ > 1) next_domain_ = (next_domain_ + 1) % num_domains_;
+    const std::uint32_t dom = advance_domain();
     const SimDuration gc_us = maybe_collect_for_write(dom);
     invalidate(lpn);
     append_page(lpn, dom);
@@ -369,7 +370,7 @@ std::int64_t Ssd::pick_victim(std::uint32_t dom_idx) {
   for (std::uint32_t step = 0;
        step < total && examined < kCostBenefitSampleSize; ++step) {
     const std::uint32_t local = dom.scan_cursor;
-    dom.scan_cursor = (dom.scan_cursor + 1) % total;
+    if (++dom.scan_cursor == total) dom.scan_cursor = 0;
     if (!dom.victims.contains(local)) continue;
     const std::uint32_t b = global_of(local, dom_idx);
     ++examined;
@@ -396,7 +397,7 @@ SimDuration Ssd::collect_garbage(std::uint32_t dom_idx) {
   gc_active_ = true;
   Domain& dom = domains_[dom_idx];
   SimDuration elapsed = 0;
-  while (dom.free_blocks.size() < config_.domain_low_water()) {
+  while (dom.free_blocks.size() < low_water_) {
     const std::int64_t victim = pick_victim(dom_idx);
     if (victim < 0) break;  // Nothing reclaimable (tiny-device corner).
     const auto vb = static_cast<std::uint32_t>(victim);

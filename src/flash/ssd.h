@@ -26,6 +26,7 @@
 #include "flash/config.h"
 #include "flash/stats.h"
 #include "flash/victim_queue.h"
+#include "util/divisor.h"
 #include "util/packed.h"
 #include "util/types.h"
 
@@ -135,17 +136,16 @@ class Ssd {
                         std::uint32_t device_id);
 
  private:
-  std::uint32_t block_of(Ppn ppn) const { return ppn / config_.pages_per_block; }
+  std::uint32_t block_of(Ppn ppn) const { return block_div_.div(ppn); }
 
   /// Block-allocation domain of a physical block (block id modulo the
-  /// domain count; always 0 on a flat device, where the branch keeps the
-  /// hot path division-free).
+  /// domain count; always 0 on a flat device).
   std::uint32_t domain_of(std::uint32_t block) const {
-    return num_domains_ == 1 ? 0 : block % num_domains_;
+    return domain_div_.mod(block);
   }
   /// Dense per-domain block index (used by the per-domain victim queues).
   std::uint32_t local_of(std::uint32_t block) const {
-    return num_domains_ == 1 ? block : block / num_domains_;
+    return domain_div_.div(block);
   }
   /// Inverse of (domain_of, local_of).
   std::uint32_t global_of(std::uint32_t local, std::uint32_t domain) const {
@@ -153,6 +153,13 @@ class Ssd {
   }
   std::uint32_t blocks_in_domain(std::uint32_t domain) const {
     return (config_.num_blocks - domain + num_domains_ - 1) / num_domains_;
+  }
+
+  /// Returns the round-robin host-append domain and advances the cursor.
+  std::uint32_t advance_domain() {
+    const std::uint32_t dom = next_domain_;
+    if (++next_domain_ == num_domains_) next_domain_ = 0;
+    return dom;
   }
 
   /// Appends a page to one of domain `dom`'s log heads (the host stream, or
@@ -223,6 +230,14 @@ class Ssd {
   std::vector<Domain> domains_;
   std::uint32_t num_domains_ = 1;
   std::uint32_t next_domain_ = 0;  // round-robin host-append cursor
+  std::uint32_t low_water_ = kGcLowWater;  // config_.domain_low_water()
+
+  // Exact multiply-high divisors for the runtime counts the per-page
+  // paths divide by (docs/internals/flash.md "Parallel timing model").
+  util::Divisor block_div_;    // pages_per_block
+  util::Divisor domain_div_;   // num_domains_
+  util::Divisor channel_div_;  // geometry.channels
+  util::Divisor die_div_;      // geometry.dies()
 
   std::uint64_t valid_pages_ = 0;
   std::vector<std::uint32_t> block_erases_;  // lifetime, per block
@@ -233,7 +248,6 @@ class Ssd {
   // (command acceptance) and per plane (array operation).  Empty vectors on
   // a flat device.
   bool parallel_ = false;
-  std::uint32_t dies_total_ = 1;
   std::vector<SimTime> bus_ready_;
   std::vector<SimTime> die_ready_;
   std::vector<SimTime> plane_ready_;
