@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full pre-merge check: documentation consistency (tools/check_docs.sh),
-# then build + test the normal config (plus a build and test run of the
+# Full pre-merge check: documentation consistency (tools/check_docs.sh)
+# and the doctests of tools/perf_pairs.py's verdict rules, then build +
+# test the normal config (plus a build and test run of the
 # replay benchmark in perfbench/, a perf_scale smoke that validates the
 # edm-bench-result/1 JSON shape, the streaming-replay RSS ceiling and the
 # materialised replay's single copy of the trace, and an open-loop smoke
@@ -412,6 +413,7 @@ fi
 
 echo "== docs =="
 tools/check_docs.sh
+python3 -m doctest tools/perf_pairs.py
 
 run_preset default
 perfbench_smoke
