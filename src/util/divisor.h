@@ -20,8 +20,6 @@ class Divisor {
     assert(d != 0);
   }
 
-  std::uint32_t divisor() const { return d_; }
-
   std::uint32_t div(std::uint32_t n) const {
     return d_ == 1 ? n : static_cast<std::uint32_t>(mulhi(m_, n));
   }
